@@ -245,11 +245,12 @@ class SatVerdict:
         return data
 
 
-def _eval_vector(
+def eval_vector(
     t: Term,
     assignments: Sequence[tuple[int, ...]],
     op: Optional[OperationTable] = None,
 ) -> tuple[int, ...]:
+    """Values of t at each assignment, its symbol read as op."""
     if isinstance(t, Var):
         return tuple(a[t.index] for a in assignments)
     assert op is not None
@@ -285,7 +286,7 @@ def holds_in(s: System, algebra: FiniteAlgebra, cap: int = 4096) -> SatVerdict:
             cross.setdefault((a, b), []).append(pair)
 
     for left, right in var_only:
-        if _eval_vector(left, assignments) != _eval_vector(right, assignments):
+        if eval_vector(left, assignments) != eval_vector(right, assignments):
             return SatVerdict(False, None)
 
     candidates: dict[Symbol, list[OperationTable]] = {}
@@ -294,8 +295,8 @@ def holds_in(s: System, algebra: FiniteAlgebra, cap: int = 4096) -> SatVerdict:
         for op in slices[sym].ops:
             good = True
             for left, right in unary[sym]:
-                lv = _eval_vector(left, assignments, op)
-                rv = _eval_vector(right, assignments, op if isinstance(right, App) else None)
+                lv = eval_vector(left, assignments, op)
+                rv = eval_vector(right, assignments, op if isinstance(right, App) else None)
                 if lv != rv:
                     good = False
                     break
@@ -312,7 +313,7 @@ def holds_in(s: System, algebra: FiniteAlgebra, cap: int = 4096) -> SatVerdict:
         key = []
         for left, right in cross.get(pair, ()):
             own = left if (isinstance(left, App) and left.sym is sym) else right
-            key.append(_eval_vector(own, assignments, op))
+            key.append(eval_vector(own, assignments, op))
         return tuple(key)
 
     if len(symbols) <= 1:
@@ -347,8 +348,8 @@ def holds_in(s: System, algebra: FiniteAlgebra, cap: int = 4096) -> SatVerdict:
                     other = order[j]
                     pair = tuple(sorted((sym, other), key=lambda sy: sy.order))
                     for left, right in cross.get(pair, ()):
-                        lv = _eval_vector(left, assignments, witness[left.sym])
-                        rv = _eval_vector(right, assignments, witness[right.sym])
+                        lv = eval_vector(left, assignments, witness[left.sym])
+                        rv = eval_vector(right, assignments, witness[right.sym])
                         if lv != rv:
                             ok = False
                             break
@@ -377,7 +378,7 @@ def induced_partition(
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, t in enumerate(universe.terms):
         op = witness[t.sym] if isinstance(t, App) else None
-        vec = _eval_vector(t, assignments, op)
+        vec = eval_vector(t, assignments, op)
         groups.setdefault(vec, []).append(i)
     return Partition(universe, tuple(tuple(g) for g in groups.values()))
 

@@ -22,11 +22,12 @@ from .terms import (
     System,
     TermUniverse,
     Var,
+    canonical_blocks,
     canonicalize,
     partition_closure,
     partition_from_blocks,
     set_partitions,
-    symmetry_group,
+    symmetry_tables,
     system_from_partition,
     system_key,
     term_universe,
@@ -97,43 +98,6 @@ def master_partitions(
     return out
 
 
-# ---------------------------------------------------------------------------
-# Canonical forms on index partitions (fast path, equivalent to
-# terms.canonicalize because the universe is sorted in term order)
-# ---------------------------------------------------------------------------
-
-
-def _index_perms(universe: TermUniverse) -> tuple[tuple[int, ...], ...]:
-    perms = []
-    for g in symmetry_group(universe.signature, universe.num_vars):
-        perms.append(tuple(universe.index(g.apply_term(t)) for t in universe.terms))
-    return tuple(perms)
-
-
-def _chain_pairs(blocks: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for b in blocks:
-        bs = sorted(b)
-        pairs.extend(zip(bs, bs[1:]))
-    return tuple(sorted(pairs))
-
-
-def _canonical_blocks(
-    blocks: Sequence[Sequence[int]], perms: Sequence[Sequence[int]]
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
-    best_key: Optional[tuple] = None
-    best_blocks: tuple[tuple[int, ...], ...] = ()
-    for perm in perms:
-        moved = tuple(
-            sorted((tuple(sorted(perm[i] for i in b)) for b in blocks))
-        )
-        key = _chain_pairs(moved)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_blocks = moved
-    return best_key or (), best_blocks
-
-
 def _system_from_index_blocks(
     universe: TermUniverse, blocks: Iterable[Sequence[int]]
 ) -> System:
@@ -147,8 +111,8 @@ def enumerate_family(family: Family) -> tuple[System, ...]:
     converted to a system (identities chain each block; the y side is implied
     by the x/y renaming) and reduced to its canonical form.
     """
-    universe = family.universe
-    perms = _index_perms(universe)
+    tables = symmetry_tables(family.signature, 2, frozenset())
+    universe = tables.universe
     x_index = universe.index(Var(0))
     seen_raw: set = set()
     canon: dict[tuple, tuple[tuple[int, ...], ...]] = {}
@@ -159,7 +123,7 @@ def enumerate_family(family: Family) -> tuple[System, ...]:
             if raw in seen_raw:
                 continue
             seen_raw.add(raw)
-            key, blocks = _canonical_blocks(raw, perms)
+            key, _k, blocks = canonical_blocks(raw, tables.perms)
             if key not in canon:
                 canon[key] = blocks
     return tuple(
@@ -303,10 +267,10 @@ def candidate_weakenings(s: System, universe: TermUniverse) -> tuple[System, ...
     return tuple(system_from_partition(p) for p in weakenings(closure))
 
 
-def minimal_candidates(family: Family, jobs: int = 1) -> CandidateReport:
+def minimal_candidates(family: Family) -> CandidateReport:
     """Classify the whole family and compute its minimal candidates."""
     systems = enumerate_family(family)
-    classifications = _classify_batch(systems, jobs)
+    classifications = [classify_system(s) for s in systems]
     num_ring = sum(1 for c in classifications if c.ring_verdict.satisfiable)
     num_fails_b = sum(1 for c in classifications if not c.holds_in_b.satisfiable)
     num_fails_a = sum(1 for c in classifications if not c.holds_in_a.satisfiable)
@@ -337,15 +301,6 @@ def minimal_candidates(family: Family, jobs: int = 1) -> CandidateReport:
         candidates,
         tuple(minimality),
     )
-
-
-def _classify_batch(systems: Sequence[System], jobs: int) -> list[Classification]:
-    if jobs <= 1 or len(systems) < 64:
-        return [classify_system(s) for s in systems]
-    import multiprocessing
-
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(classify_system, systems, chunksize=64)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +481,7 @@ class VerifyReport:
         }
 
 
-def _projection_witness_exists(s: System, arities: dict[Symbol, int]) -> bool:
+def _projection_witness_exists(s: System) -> bool:
     units = {2: ("x", "y"), 3: ("x", "y", "z")}
     symbols = sorted(s.signature, key=lambda sy: sy.order)
     for combo in itertools.product(*[units[sym.arity] for sym in symbols]):
@@ -564,7 +519,7 @@ def _check_entry(entry: ManifestEntry, reports: dict[Family, CandidateReport]) -
         ok = reducts.verify_witness(s, 5, wit)
         return Finding(entry, ok, "projection pair verified" if ok else "projection pair fails")
     if entry.kind == "projections-exist":
-        ok = _projection_witness_exists(s, {})
+        ok = _projection_witness_exists(s)
         return Finding(entry, ok, "some projection assignment works" if ok else "no projection assignment works")
     if entry.kind == "fails-in-b":
         verdict = alg.holds_in(s, alg.semilattice_b())
@@ -637,9 +592,7 @@ def _check_entry(entry: ManifestEntry, reports: dict[Family, CandidateReport]) -
     raise AssertionError(f"unhandled kind {entry.kind}")
 
 
-def verify_paper(
-    manifest_text: Optional[str] = None, jobs: int = 1
-) -> VerifyReport:
+def verify_paper(manifest_text: Optional[str] = None) -> VerifyReport:
     """Machine-check every manifest entry; mismatches become findings."""
     if manifest_text is None:
         manifest_text = default_manifest_text()
@@ -649,7 +602,7 @@ def verify_paper(
         for e in entries
         if e.kind in ("minimal-candidates", "zero-candidates")
     }
-    reports = {fam: minimal_candidates(fam, jobs=jobs) for fam in sorted(needed, key=lambda f: f.value)}
+    reports = {fam: minimal_candidates(fam) for fam in sorted(needed, key=lambda f: f.value)}
     findings = tuple(_check_entry(e, reports) for e in entries)
     return VerifyReport(findings)
 

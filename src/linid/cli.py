@@ -3,7 +3,7 @@ sweeps, and the reproducible verify-paper entry point.
 
 Exit codes: 0 success/agreement, 1 verification mismatch (findings emitted),
 2 usage or parse errors.  Output is byte-identical across runs for a fixed
-configuration; worker results are merged in canonical order.
+configuration.
 """
 from __future__ import annotations
 
@@ -35,15 +35,12 @@ class RunConfig:
     algebra_sizes: tuple[int, ...] = (2, 3, 4)
     output_dir: Optional[Path] = None
     output_format: str = "json"
-    jobs: int = 1
     manifest: Optional[Path] = None
     recheck: bool = False
 
     def __post_init__(self) -> None:
         if self.modulus_bound < 2:
             raise ValueError("modulus bound must be at least 2")
-        if self.jobs < 1:
-            raise ValueError("parallelism degree must be at least 1")
         if self.output_format not in ("json", "markdown", "both"):
             raise ValueError("format must be json, markdown or both")
 
@@ -70,18 +67,22 @@ def _write(cfg: RunConfig, name: str, text: str) -> Optional[Path]:
 # ---------------------------------------------------------------------------
 
 
-def check_certificate(s, cfg: RunConfig) -> dict:
-    canon, _ = canonicalize(s)
-    cls = classify.classify_system(s)
-    ring = cls.ring_verdict.to_json()
-    cert: dict = {
-        "system": format_system(s),
+def _classification_certificate(cls: classify.Classification, canon) -> dict:
+    """The certificate keys shared by `check` and `minimal`."""
+    return {
+        "system": format_system(cls.system),
         "canonical_system": format_system(canon),
-        **ring,
+        **cls.ring_verdict.to_json(),
         "holds_in_b": cls.holds_in_b.to_json(),
         "holds_in_a": cls.holds_in_a.to_json(),
         "is_candidate": cls.is_candidate,
     }
+
+
+def check_certificate(s, cfg: RunConfig) -> dict:
+    canon, _ = canonicalize(s)
+    cls = classify.classify_system(s)
+    cert = _classification_certificate(cls, canon)
     linsys = reducts.coefficient_system(s)
     if not cls.ring_verdict.satisfiable:
         unsat_swept = all(
@@ -92,9 +93,13 @@ def check_certificate(s, cfg: RunConfig) -> dict:
             "bound": cfg.modulus_bound,
             "all_unsatisfiable": unsat_swept,
         }
+    # classify_system already decided the 3-element majority algebra
     sizes = {}
     for m in cfg.algebra_sizes:
-        sizes[str(m)] = alg.holds_in(s, alg.majority_a(m)).satisfiable
+        if m == 3:
+            sizes[str(m)] = cls.holds_in_a.satisfiable
+        else:
+            sizes[str(m)] = alg.holds_in(s, alg.majority_a(m)).satisfiable
     cert["holds_in_majority_sizes"] = sizes
     return cert
 
@@ -119,24 +124,15 @@ def recheck_certificate(cert: dict) -> bool:
                 witness[sym] = alg.OperationTable(
                     op["name"], algebra.size, sym.arity, tuple(op["table"])
                 )
-            assignments = _all_assignments(algebra.size, s.num_vars)
-            for ident in s.identities:
-                if _eval(ident.left, assignments, witness) != _eval(
-                    ident.right, assignments, witness
-                ):
-                    return False
+            assignments = list(itertools.product(range(algebra.size), repeat=s.num_vars))
+
+            def values(t):
+                op = witness[t.sym] if isinstance(t, App) else None
+                return alg.eval_vector(t, assignments, op)
+
+            if any(values(i.left) != values(i.right) for i in s.identities):
+                return False
     return True
-
-
-def _all_assignments(size: int, num_vars: int):
-    return list(itertools.product(range(size), repeat=num_vars))
-
-
-def _eval(term, assignments, witness):
-    if isinstance(term, App):
-        op = witness[term.sym]
-        return tuple(op.apply(tuple(a[v] for v in term.pattern)) for a in assignments)
-    return tuple(a[term.index] for a in assignments)
 
 
 def _cmd_check(args, cfg: RunConfig) -> int:
@@ -242,7 +238,7 @@ def render_candidate_report_markdown(report: classify.CandidateReport) -> str:
 
 def _cmd_minimal(args, cfg: RunConfig) -> int:
     family = classify.Family.parse(args.family)
-    report = classify.minimal_candidates(family, jobs=cfg.jobs)
+    report = classify.minimal_candidates(family)
     if cfg.output_format in ("json", "both"):
         print(_dump(report.to_json()))
     if cfg.output_format in ("markdown", "both"):
@@ -252,16 +248,9 @@ def _cmd_minimal(args, cfg: RunConfig) -> int:
     if cfg.output_dir is not None:
         written = []
         for cls in report.candidates:
-            canon_dsl = format_system(cls.system)
-            cert = {
-                "system": canon_dsl,
-                "canonical_system": canon_dsl,
-                **cls.ring_verdict.to_json(),
-                "holds_in_b": cls.holds_in_b.to_json(),
-                "holds_in_a": cls.holds_in_a.to_json(),
-                "is_candidate": cls.is_candidate,
-            }
-            written.append(_write(cfg, _certificate_name(canon_dsl), _dump(cert) + "\n"))
+            cert = _classification_certificate(cls, cls.system)
+            name = _certificate_name(cert["canonical_system"])
+            written.append(_write(cfg, name, _dump(cert) + "\n"))
         if cfg.recheck:
             for path in written:
                 if not recheck_certificate(json.loads(path.read_text())):
@@ -320,7 +309,7 @@ def _cmd_verify_paper(args, cfg: RunConfig) -> int:
     if cfg.manifest is not None:
         manifest_text = cfg.manifest.read_text(encoding="utf-8")
     try:
-        report = classify.verify_paper(manifest_text, jobs=cfg.jobs)
+        report = classify.verify_paper(manifest_text)
     except classify.ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -351,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output-dir", "-o", type=Path, default=None,
                         help=f"directory for reports and certificates (default ${OUTPUT_DIR_ENV})")
     common.add_argument("--format", choices=("json", "markdown", "both"), default="json")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for family sweeps")
     common.add_argument("--modulus-bound", type=int, default=64,
                         help="upper bound for the per-modulus unsatisfiability sweep")
     common.add_argument("--sizes-a", type=str, default="2,3,4",
@@ -406,7 +394,6 @@ def _config_from_args(args) -> RunConfig:
         algebra_sizes=sizes,
         output_dir=output_dir,
         output_format=args.format,
-        jobs=args.jobs,
         manifest=getattr(args, "manifest", None),
         recheck=args.recheck,
     )
@@ -435,7 +422,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args, cfg)
-    except (ParseError, classify.ManifestError, ValueError) as exc:
+    except (ParseError, classify.ManifestError, alg.CloneCapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -120,17 +120,9 @@ class LinearSystem:
     def num_unknowns(self) -> int:
         return sum(s.arity for s in self.symbols)
 
-    def offset(self, sym: Symbol) -> int:
-        off = 0
-        for s in self.symbols:
-            if s is sym:
-                return off
-            off += s.arity
-        raise ValueError(f"symbol {sym} not in system")
-
 
 def _side_contribution(
-    t: Term, var: int, symbols: Sequence[Symbol], width: int
+    t: Term, var: int, offsets: Mapping[Symbol, int], width: int
 ) -> tuple[list[int], int]:
     """Coefficient row and constant contributed by one identity side for var."""
     row = [0] * width
@@ -138,11 +130,7 @@ def _side_contribution(
     if isinstance(t, Var):
         const = 1 if t.index == var else 0
         return row, const
-    off = 0
-    for s in symbols:
-        if s is t.sym:
-            break
-        off += s.arity
+    off = offsets[t.sym]
     for pos, v in enumerate(t.pattern):
         if v == var:
             row[off + pos] += 1
@@ -152,23 +140,25 @@ def _side_contribution(
 def coefficient_system(s: System) -> LinearSystem:
     """Extract the integer linear system equivalent to s over module reducts."""
     symbols = tuple(sorted(s.signature, key=lambda sy: sy.order))
-    width = sum(sy.arity for sy in symbols)
+    offsets = {}
+    width = 0
+    for sym in symbols:
+        offsets[sym] = width
+        width += sym.arity
     rows: list[tuple[int, ...]] = []
     rhs: list[int] = []
     for ident in s.sorted_identities():
         for var in range(s.num_vars):
-            lrow, lconst = _side_contribution(ident.left, var, symbols, width)
-            rrow, rconst = _side_contribution(ident.right, var, symbols, width)
+            lrow, lconst = _side_contribution(ident.left, var, offsets, width)
+            rrow, rconst = _side_contribution(ident.right, var, offsets, width)
             rows.append(tuple(l - r for l, r in zip(lrow, rrow)))
             rhs.append(rconst - lconst)
-    off = 0
     for sym in symbols:
         row = [0] * width
         for j in range(sym.arity):
-            row[off + j] = 1
+            row[offsets[sym] + j] = 1
         rows.append(tuple(row))
         rhs.append(1)
-        off += sym.arity
     return LinearSystem(symbols, tuple(rows), tuple(rhs))
 
 

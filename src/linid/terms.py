@@ -7,6 +7,7 @@ term universe.  All values here are immutable and hashable.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -588,9 +589,6 @@ class SymmetryElement:
         )
 
 
-IDENTITY_ELEMENT = SymmetryElement()
-
-
 def apply_symmetry(s: System, g: SymmetryElement) -> System:
     idents = [Identity(g.apply_term(i.left), g.apply_term(i.right)) for i in s.identities]
     sig = frozenset(g.map_symbol(sym) for sym in s.signature)
@@ -635,6 +633,62 @@ def system_key(s: System) -> tuple:
     return tuple(sorted(i.key() for i in s.identities))
 
 
+@dataclass(frozen=True)
+class SymmetryTables:
+    """A symmetry group with each element's index permutation of a universe.
+
+    perms[k][i] is the universe index of group[k] applied to term i.
+    """
+
+    universe: TermUniverse
+    group: tuple[SymmetryElement, ...]
+    perms: tuple[tuple[int, ...], ...]
+
+
+@functools.lru_cache(maxsize=None)
+def symmetry_tables(
+    signature: frozenset[Symbol], num_vars: int, fixed: frozenset[Symbol]
+) -> SymmetryTables:
+    """Tables for symmetry_group(signature, num_vars), built on first use.
+
+    The universe also covers the symbols in fixed: the group keeps their
+    letters and argument order and only renames their variables.
+    """
+    universe = term_universe(signature | fixed, num_vars)
+    group = symmetry_group(signature, num_vars)
+    perms = tuple(
+        tuple(universe.index(g.apply_term(t)) for t in universe.terms) for g in group
+    )
+    return SymmetryTables(universe, group, perms)
+
+
+def canonical_blocks(
+    blocks: Sequence[Sequence[int]], perms: Sequence[Sequence[int]]
+) -> tuple[tuple[tuple[int, int], ...], int, tuple[tuple[int, ...], ...]]:
+    """Least image of index blocks under a list of index permutations.
+
+    An image is ranked by its chain-pair key: the sorted consecutive pairs of
+    its sorted blocks.  Bijections carry closure blocks to closure blocks, so
+    the key needs no re-normalising, and universes list terms in term order,
+    so on indices it orders images as system_key does.  Returns the least key,
+    the position of the first permutation reaching it, and the moved blocks,
+    sorted.
+    """
+    best_key: Optional[list] = None
+    best_k = 0
+    for k, perm in enumerate(perms):
+        key = []
+        for b in blocks:
+            moved = sorted([perm[i] for i in b])
+            key.extend(zip(moved, moved[1:]))
+        key.sort()
+        if best_key is None or key < best_key:
+            best_key, best_k = key, k
+    perm = perms[best_k]
+    moved_blocks = tuple(sorted(tuple(sorted(perm[i] for i in b)) for b in blocks))
+    return tuple(best_key or ()), best_k, moved_blocks
+
+
 def canonicalize(
     s: System, signature: Optional[Iterable[Symbol]] = None
 ) -> tuple[System, SymmetryElement]:
@@ -642,24 +696,14 @@ def canonicalize(
 
     The ambient signature defaults to the system's own; pass the family
     signature to canonicalise within a larger group.  Returns the canonical
-    form and a group element mapping s to it.
+    form and the first group element mapping s to it.
     """
     sig = frozenset(signature) if signature is not None else s.signature
-    blocks = s.blocks()
-    best: Optional[tuple] = None
-    best_g = IDENTITY_ELEMENT
-    for g in symmetry_group(sig, s.num_vars):
-        # bijections carry closure blocks to closure blocks, so the key of
-        # the transformed system falls out without re-normalising
-        pairs = []
-        for block in blocks:
-            moved = sorted((term_key(g.apply_term(t)) for t in block))
-            pairs.extend(zip(moved, moved[1:]))
-        key = tuple(sorted(pairs))
-        if best is None or key < best:
-            best = key
-            best_g = g
-    return apply_symmetry(s, best_g), best_g
+    tables = symmetry_tables(sig, s.num_vars, s.signature - sig)
+    index = tables.universe.index
+    blocks = [[index(t) for t in block] for block in s.blocks()]
+    _key, k, _moved = canonical_blocks(blocks, tables.perms)
+    return apply_symmetry(s, tables.group[k]), tables.group[k]
 
 
 def mirror(s: System) -> System:

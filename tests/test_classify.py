@@ -211,34 +211,6 @@ def test_enumeration_determinism():
     assert first == second
 
 
-def test_parallel_classification_preserves_order():
-    from linid.classify import _classify_batch
-
-    systems = enumerate_family(Family.TWO_TERNARY)[:80]
-    serial = _classify_batch(systems, jobs=1)
-    parallel = _classify_batch(systems, jobs=2)
-    assert [c.to_json() for c in serial] == [c.to_json() for c in parallel]
-
-
-def test_fast_canonical_path_agrees_with_canonicalize():
-    from conftest import random_system
-    from linid.classify import (
-        _canonical_blocks,
-        _index_perms,
-        _system_from_index_blocks,
-    )
-
-    family = Family.TWO_TERNARY
-    u = family.universe
-    perms = _index_perms(u)
-    rng = random.Random(9)
-    for _ in range(50):
-        s = random_system(rng)
-        blocks = [tuple(u.index(t) for t in b) for b in s.blocks()]
-        _, best = _canonical_blocks(blocks, perms)
-        assert _system_from_index_blocks(u, best) == canonicalize(s, family.signature)[0]
-
-
 def test_manifest_parser_errors():
     with pytest.raises(ManifestError):
         parse_manifest("bogus-kind | TwoTernary | x=t(x,y)")

@@ -172,7 +172,9 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
-def test_jobs_flag_does_not_change_output(capsys):
-    _, first, _ = run(capsys, "enumerate", "SingleTernary")
-    _, second, _ = run(capsys, "enumerate", "SingleTernary", "--jobs", "2")
-    assert first == second
+def test_clone_cap_exceeded_exit_2(capsys):
+    code, out, err = run(capsys, "clone", "a:3", "3", "--cap", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: clone slice exceeds cap 5")
+    assert len(err.splitlines()) == 1

@@ -24,6 +24,7 @@ from linid.terms import (
     substitute_variable,
     symmetry_group,
     system_from_partition,
+    system_key,
     term_key,
     term_universe,
     weakenings,
@@ -264,6 +265,22 @@ def test_canonicalize_constant_on_orbits():
         assert canon in orbit
         for member in orbit:
             assert canonicalize(member, PQ)[0] == canon
+
+
+def test_canonicalize_is_first_orbit_minimum():
+    # reference: apply every group element, keep the first least image
+    rng = random.Random(9)
+    P, PT = frozenset((Symbol.P,)), frozenset((Symbol.P, Symbol.T))
+    cases = [(PQ, PQ, 2)] * 20 + [(PQ, PQ, 3)] * 6 + [(PT, PT, 2)] * 8 + [(PT, P, 2)] * 4
+    for sig, ambient, nv in cases:
+        s = random_system(rng, sig, nv)
+        grp = symmetry_group(ambient, nv)
+        images = [apply_symmetry(s, g) for g in grp]
+        best = min(images, key=system_key)
+        first = next(g for g, im in zip(grp, images) if system_key(im) == system_key(best))
+        assert canonicalize(s, ambient) == (best, first)
+        if ambient == sig:
+            assert canonicalize(s) == (best, first)
 
 
 def test_canonicalize_idempotent():
