@@ -6,6 +6,16 @@ witness type (a projection or, for ternary symbols, the majority class; all
 majority operations agree on two-variable argument patterns).  Enumeration
 therefore walks the partitions of the block containing x in each master
 partition, mirrors being implied by renaming x and y.
+
+Two symmetry reductions make the walk canonicalise each orbit once, and
+neither loses a class:
+
+- One x-block per orbit.  Master x-blocks that are images of one another
+  under the symmetry group are walked once.  g permutes the set partitions
+  of a block B onto those of g(B), so both blocks reach the same orbits.
+- Orbit marking.  Canonicalising a raw partition marks all its images under
+  the group; a marked partition is skipped.  Its images lie in its orbit, so
+  they share its canonical form.
 """
 from __future__ import annotations
 
@@ -104,28 +114,63 @@ def _system_from_index_blocks(
     return system_from_partition(partition_from_blocks(universe, blocks))
 
 
+def _xblock_orbit_representatives(
+    family: Family, perms: Sequence[Sequence[int]], x_index: int
+) -> list[tuple[int, ...]]:
+    """The first-seen master x-block of each symmetry orbit of x-blocks.
+
+    An orbit is identified by the least sorted image of its blocks.
+    """
+    reps: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for _types, master in master_partitions(family):
+        xblock = next(b for b in master.blocks if x_index in b)
+        orbit = min(tuple(sorted(perm[i] for i in xblock)) for perm in perms)
+        reps.setdefault(orbit, xblock)
+    return list(reps.values())
+
+
+def _mark(blocks: Iterable[Sequence[int]], weights: Sequence[int]) -> int:
+    """One integer naming a set of disjoint index blocks.
+
+    Index i holds, in the digit weights[i], the least index of its block plus
+    one; indices outside every block hold 0.  The digits determine the blocks.
+    """
+    mark = 0
+    for b in blocks:
+        label = min(b) + 1
+        for i in b:
+            mark += label * weights[i]
+    return mark
+
+
 def enumerate_family(family: Family) -> tuple[System, ...]:
     """All canonical systems in the family, deduplicated and ordered.
 
     Every partition of the x-containing block of every master partition is
     converted to a system (identities chain each block; the y side is implied
-    by the x/y renaming) and reduced to its canonical form.
+    by the x/y renaming) and reduced to its canonical form.  Only one x-block
+    per symmetry orbit is walked, since the partitions of g(B) are the images
+    under g of those of B; and each canonicalised partition marks its whole
+    orbit, so the kernel runs once per class.  Neither reduction drops a
+    class: a skipped partition lies in an orbit already reached.
     """
     tables = symmetry_tables(family.signature, 2, frozenset())
-    universe = tables.universe
-    x_index = universe.index(Var(0))
-    seen_raw: set = set()
+    universe, perms = tables.universe, tables.perms
+    width = len(universe).bit_length()
+    weights = [1 << (width * i) for i in range(len(universe))]
+    marked: set[int] = set()
     canon: dict[tuple, tuple[tuple[int, ...], ...]] = {}
-    for _types, master in master_partitions(family):
-        xblock = next(b for b in master.blocks if x_index in b)
+    x_index = universe.index(Var(0))
+    for xblock in _xblock_orbit_representatives(family, perms, x_index):
         for parts in set_partitions(xblock):
-            raw = tuple(sorted(tuple(sorted(p)) for p in parts if len(p) > 1))
-            if raw in seen_raw:
+            raw = [p for p in parts if len(p) > 1]
+            if _mark(raw, weights) in marked:
                 continue
-            seen_raw.add(raw)
-            key, _k, blocks = canonical_blocks(raw, tables.perms)
-            if key not in canon:
-                canon[key] = blocks
+            key, _k, blocks = canonical_blocks(raw, perms)
+            canon[key] = blocks
+            marked.update(
+                _mark([[perm[i] for i in b] for b in raw], weights) for perm in perms
+            )
     return tuple(
         _system_from_index_blocks(universe, canon[key]) for key in sorted(canon)
     )
@@ -610,8 +655,9 @@ def verify_paper(manifest_text: Optional[str] = None) -> VerifyReport:
 def brute_force_candidates(family: Family) -> tuple[System, ...]:
     """Oracle: classify every partition of the whole universe, no pruning.
 
-    Only feasible for the binary families (Bell(4) and Bell(6) partitions);
-    validates that witness-type pruning loses no candidates.
+    Feasible for the binary families and SingleTernary (Bell(4), Bell(6)
+    and Bell(8) partitions); validates that witness-type pruning loses no
+    candidates.
     """
     universe = family.universe
     out = []

@@ -182,7 +182,22 @@ def _cmd_clone(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+MAX_REDUCT_TERMS = 100_000
+
+
 def _cmd_reduct_terms(args, cfg: RunConfig) -> int:
+    if args.arity < 1:
+        raise ValueError("--arity must be at least 1")
+    if args.modulus < 2:
+        raise ValueError("modulus must be at least 2")
+    # the count is modulus**(arity-1); with modulus >= 2 an exponent of the
+    # limit's bit length already exceeds it, so the power stays small
+    exponent = min(args.arity - 1, MAX_REDUCT_TERMS.bit_length())
+    if args.modulus**exponent > MAX_REDUCT_TERMS:
+        raise ValueError(
+            f"{args.modulus}**{args.arity - 1} terms requested; "
+            f"at most {MAX_REDUCT_TERMS} are listed"
+        )
     terms = reducts.affine_terms(args.modulus, args.arity)
     if cfg.output_format == "json":
         print(_dump({"modulus": args.modulus, "arity": args.arity,

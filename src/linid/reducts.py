@@ -478,11 +478,6 @@ def _coeff_identity_holds(left: Term, right: Term, w: Sequence[int], p: int) -> 
     return True
 
 
-def _substitute_term(t: Term, src: int, dst: int) -> Term:
-    mapping = [dst if v == src else v for v in range(len(VAR_NAMES))]
-    return rename_term(t, mapping)
-
-
 @dataclass(frozen=True)
 class LemmaCounterexample:
     prime: int
@@ -531,11 +526,11 @@ def substitution_lemma_check(primes: Sequence[int]) -> LemmaReport:
             raise ValueError("primes must be at least 2")
         candidates = affine_coefficients(p, 3)
         for left, right in shapes:
-            insts = []
-            for dst in (0, 1):
-                l2 = _substitute_term(left, 2, dst)
-                r2 = _substitute_term(right, 2, dst)
-                insts.append((l2, r2))
+            # the instances z -> x and z -> y
+            insts = [
+                (rename_term(left, (0, 1, dst)), rename_term(right, (0, 1, dst)))
+                for dst in (0, 1)
+            ]
             for w in candidates:
                 if all(_coeff_identity_holds(l, r, w, p) for l, r in insts):
                     if not _coeff_identity_holds(left, right, w, p):

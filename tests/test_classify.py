@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from linid import classify
 from linid.classify import (
     Family,
     ManifestError,
@@ -14,7 +15,7 @@ from linid.classify import (
     parse_manifest,
     verify_paper,
 )
-from linid.algebra import holds_in, majority_a
+from linid.algebra import clone_slice, holds_in, induced_partition, majority_a
 from linid.terms import (
     Symbol,
     Var,
@@ -22,7 +23,11 @@ from linid.terms import (
     canonicalize,
     format_system,
     parse_system,
+    partition_from_blocks,
+    set_partitions,
     symmetry_group,
+    system_from_partition,
+    system_key,
 )
 
 S4 = "p(x,x,y)=p(x,y,y); p(x,y,x)=q(x,x,y)=q(x,y,x)=q(y,x,x)"
@@ -81,6 +86,62 @@ def test_enumerate_contains_the_three_candidates():
     # the empty system appears exactly once
     empties = [s for s in stream if not s.identities]
     assert len(empties) == 1
+
+
+def unreduced_enumeration(family):
+    """Reference: canonicalise every raw partition of every master x-block."""
+    universe = family.universe
+    x_index = universe.index(Var(0))
+    raw = set()
+    for _types, master in master_partitions(family):
+        xblock = next(b for b in master.blocks if x_index in b)
+        for parts in set_partitions(xblock):
+            blocks = [p for p in parts if len(p) > 1]
+            raw.add(system_from_partition(partition_from_blocks(universe, blocks)))
+    canonical = {canonicalize(s, family.signature)[0] for s in raw}
+    return tuple(sorted(canonical, key=system_key))
+
+
+@pytest.mark.parametrize(
+    "family, classes",
+    [
+        (Family.TWO_TERNARY, 329),
+        (Family.SINGLE_TERNARY, 14),
+        (Family.BINARY_PLUS_TERNARY, 45),
+        (Family.SINGLE_BINARY, 2),
+        (Family.TWO_BINARY, 4),
+    ],
+)
+def test_orbit_reductions_lose_no_class(family, classes):
+    stream = enumerate_family(family)
+    assert stream == unreduced_enumeration(family)
+    assert len(stream) == classes
+
+
+def test_two_ternary_enumeration_canonicalises_each_class_once(monkeypatch):
+    calls = []
+    kernel = classify.canonical_blocks
+
+    def counting(blocks, perms):
+        calls.append(blocks)
+        return kernel(blocks, perms)
+
+    monkeypatch.setattr(classify, "canonical_blocks", counting)
+    assert len(enumerate_family(Family.TWO_TERNARY)) == len(calls) == 329
+
+
+def test_ternary_term_operations_of_a_induce_master_partitions():
+    # the pruning lemma: on two variables every ternary term operation of A
+    # groups terms as some witness type does, so enumeration need only walk
+    # the master partitions
+    a = majority_a(3)
+    family = Family.SINGLE_TERNARY
+    masters = {part for _types, part in master_partitions(family)}
+    ops = clone_slice(a, 3).ops
+    induced = {induced_partition({Symbol.P: op}, family.universe, a) for op in ops}
+    assert len(ops) == 6
+    assert len(induced) == 4
+    assert induced <= masters
 
 
 def test_enumerate_single_binary_contents():
@@ -189,7 +250,9 @@ def test_zero_candidate_families(family):
     assert report.minimal_candidates == ()
 
 
-@pytest.mark.parametrize("family", [Family.SINGLE_BINARY, Family.TWO_BINARY])
+@pytest.mark.parametrize(
+    "family", [Family.SINGLE_BINARY, Family.TWO_BINARY, Family.SINGLE_TERNARY]
+)
 def test_brute_force_oracle_matches_pruned_enumeration(family):
     # classify every partition of the full universe, no witness-type pruning
     brute = set(brute_force_candidates(family))

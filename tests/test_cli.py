@@ -1,5 +1,6 @@
 import json
 
+from linid import reducts
 from linid.cli import main
 
 S4 = "p(x,x,y)=p(x,y,y); p(x,y,x)=q(x,x,y)=q(x,y,x)=q(y,x,x)"
@@ -61,6 +62,23 @@ def test_reduct_terms_json_and_markdown(capsys):
     assert "2x+2y+2z" in data["terms"]
     code, out, _ = run(capsys, "reduct-terms", "2", "--format", "markdown")
     assert out.splitlines() == ["x", "y", "z", "x+y+z"]
+
+
+def test_reduct_terms_rejects_unbounded_requests(capsys, monkeypatch):
+    def never(n, k):
+        raise AssertionError(f"affine_terms({n}, {k}) started")
+
+    monkeypatch.setattr(reducts, "affine_terms", never)
+    for argv in (
+        ("100000",),
+        ("5", "--arity", "1000000000"),
+        ("5", "--arity", "0"),
+        ("1",),
+    ):
+        code, out, err = run(capsys, "reduct-terms", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_enumerate_single_binary(capsys):
