@@ -19,7 +19,9 @@ from typing import Optional, Sequence
 
 from . import algebra as alg
 from . import classify, reducts
-from .terms import App, ParseError, Symbol, canonicalize, format_system, parse_system
+from .terms import (
+    VAR_NAMES, App, ParseError, Symbol, canonicalize, format_system, parse_system,
+)
 
 OUTPUT_DIR_ENV = "LINID_OUTPUT_DIR"
 
@@ -83,15 +85,14 @@ def check_certificate(s, cfg: RunConfig) -> dict:
     canon, _ = canonicalize(s)
     cls = classify.classify_system(s)
     cert = _classification_certificate(cls, canon)
-    linsys = reducts.coefficient_system(s)
-    if not cls.ring_verdict.satisfiable:
-        unsat_swept = all(
-            reducts.solve_mod(linsys, n) is None
-            for n in range(2, cfg.modulus_bound + 1)
-        )
+    ring = cls.ring_verdict
+    if not ring.satisfiable:
+        # the diagonalised system decides each modulus exactly
         cert["modulus_sweep"] = {
             "bound": cfg.modulus_bound,
-            "all_unsatisfiable": unsat_swept,
+            "all_unsatisfiable": not any(
+                ring.solvable_mod(n) for n in range(2, cfg.modulus_bound + 1)
+            ),
         }
     # classify_system already decided the 3-element majority algebra
     sizes = {}
@@ -143,8 +144,9 @@ def _cmd_check(args, cfg: RunConfig) -> int:
     for warning in s.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     cert = check_certificate(s, cfg)
-    print(_dump(cert))
-    path = _write(cfg, _certificate_name(cert["canonical_system"]), _dump(cert) + "\n")
+    text = _dump(cert)
+    print(text)
+    path = _write(cfg, _certificate_name(cert["canonical_system"]), text + "\n")
     if path is not None:
         print(f"certificate written to {path}", file=sys.stderr)
     if cfg.recheck:
@@ -186,14 +188,12 @@ MAX_REDUCT_TERMS = 100_000
 
 
 def _cmd_reduct_terms(args, cfg: RunConfig) -> int:
-    if args.arity < 1:
-        raise ValueError("--arity must be at least 1")
+    # terms print in the variables x, y, z
+    if not 1 <= args.arity <= len(VAR_NAMES):
+        raise ValueError(f"--arity must be between 1 and {len(VAR_NAMES)}")
     if args.modulus < 2:
         raise ValueError("modulus must be at least 2")
-    # the count is modulus**(arity-1); with modulus >= 2 an exponent of the
-    # limit's bit length already exceeds it, so the power stays small
-    exponent = min(args.arity - 1, MAX_REDUCT_TERMS.bit_length())
-    if args.modulus**exponent > MAX_REDUCT_TERMS:
+    if args.modulus ** (args.arity - 1) > MAX_REDUCT_TERMS:
         raise ValueError(
             f"{args.modulus}**{args.arity - 1} terms requested; "
             f"at most {MAX_REDUCT_TERMS} are listed"

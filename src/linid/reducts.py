@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .terms import App, Symbol, System, Term, Var, VAR_NAMES, rename_term
@@ -110,15 +111,29 @@ class LinearSystem:
     (three per ternary symbol, two per binary), concatenated.  One row per
     identity per variable, then one affine row (coefficients sum to 1) per
     symbol.
+
+    The Smith form of each column suffix (the columns of symbols k and
+    later) is computed on first use and kept with the system: it depends
+    only on the matrix, so every right-hand side tested against the suffix
+    reuses it.
     """
 
     symbols: tuple[Symbol, ...]
     matrix: tuple[tuple[int, ...], ...]
     rhs: tuple[int, ...]
+    _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_unknowns(self) -> int:
         return sum(s.arity for s in self.symbols)
+
+    def smith_form(self, k: int = 0) -> SmithForm:
+        """Smith form of the columns of symbols k and later (k = 0: all)."""
+        form = self._forms.get(k)
+        if form is None:
+            off = sum(s.arity for s in self.symbols[:k])
+            form = self._forms[k] = smith_diagonalize([row[off:] for row in self.matrix])
+        return form
 
 
 def _side_contribution(
@@ -163,32 +178,63 @@ def coefficient_system(s: System) -> LinearSystem:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form (with the row transform applied to the right-hand side)
+# Smith normal form (with its row transform)
 # ---------------------------------------------------------------------------
 
 
-def smith_diagonalize(
-    matrix: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+@dataclass(frozen=True)
+class SmithForm:
+    """Diagonal of the Smith normal form of A and the unimodular row transform.
+
+    U A V = D for a unimodular column transform V (not kept): diag holds D's
+    nonnegative diagonal d_0 | d_1 | ..., and transform is U.  Column
+    operations only reparametrise the unknowns, so A v = b is solvable mod n
+    exactly when diag_i * w_i = (U b)_i is, rows past the diagonal counting
+    as zero-diagonal rows.
+    """
+
+    diag: tuple[int, ...]
+    transform: tuple[tuple[int, ...], ...]
+    _tests: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def apply(self, rhs: Sequence[int]) -> tuple[int, ...]:
+        """The transformed right-hand side U b."""
+        return tuple(sum(u * b for u, b in zip(row, rhs)) for row in self.transform)
+
+    def solvable_mod(self, rhs: Sequence[int], n: int) -> bool:
+        """Whether A v = rhs is solvable mod n: gcd(d_i, n) divides (U rhs)_i.
+
+        Rows with gcd(d_i, n) = 1 pass for every rhs; the others are kept
+        per modulus, with the nonzero entries of their rows of U.
+        """
+        tests = self._tests.get(n)
+        if tests is None:
+            tests = self._tests[n] = [
+                (g, [(j, u) for j, u in enumerate(row) if u])
+                for i, row in enumerate(self.transform)
+                if (g := math.gcd(self.diag[i] if i < len(self.diag) else 0, n)) > 1
+            ]
+        return all(sum(u * rhs[j] for j, u in row) % g == 0 for g, row in tests)
+
+
+def smith_diagonalize(matrix: Sequence[Sequence[int]]) -> SmithForm:
     """Diagonalise A via unimodular row and column operations.
 
-    Returns (diag, c) where diag are the nonnegative diagonal entries
-    d_0 | d_1 | ... and c is the rhs after the same row operations.  Column
-    operations reparametrise the unknowns and leave the rhs untouched, so
-    A v = b is solvable mod n exactly when diag_i * w_i = c_i is (rows past
-    the diagonal count as zero-diagonal rows).  Exact integer arithmetic
+    The row operations are recorded in U, starting from the identity, so the
+    right-hand side of any system with this matrix transforms as U b.  The
+    pivot choice depends on the matrix alone.  Exact integer arithmetic
     throughout; Python integers are unbounded.
     """
     m = [list(row) for row in matrix]
-    c = list(rhs)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    if any(len(row) != ncols for row in m) or len(c) != nrows:
+    if any(len(row) != ncols for row in m):
         raise ValueError("ragged linear system")
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
-        c[i], c[j] = c[j], c[i]
+        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in m:
@@ -196,7 +242,7 @@ def smith_diagonalize(
 
     def add_row(dst, src, factor):
         m[dst] = [a + factor * b for a, b in zip(m[dst], m[src])]
-        c[dst] += factor * c[src]
+        u[dst] = [a + factor * b for a, b in zip(u[dst], u[src])]
 
     def add_col(dst, src, factor):
         for row in m:
@@ -205,18 +251,25 @@ def smith_diagonalize(
     rank_bound = min(nrows, ncols)
     for s in range(rank_bound):
         while True:
+            # the first entry of least absolute value; nothing undercuts a unit
             pivot = None
+            least = 0
             for i in range(s, nrows):
+                row = m[i]
                 for j in range(s, ncols):
-                    if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
+                    if row[j] and (not least or abs(row[j]) < least):
+                        pivot, least = (i, j), abs(row[j])
+                        if least == 1:
+                            break
+                if least == 1:
+                    break
             if pivot is None:
                 break
             swap_rows(s, pivot[0])
             swap_cols(s, pivot[1])
             if m[s][s] < 0:
                 m[s] = [-a for a in m[s]]
-                c[s] = -c[s]
+                u[s] = [-a for a in u[s]]
             clean = True
             for i in range(s + 1, nrows):
                 if m[i][s] != 0:
@@ -228,6 +281,8 @@ def smith_diagonalize(
                     add_col(j, s, -(m[s][j] // m[s][s]))
                     if m[s][j] != 0:
                         clean = False
+            if clean and m[s][s] == 1:
+                break
             if clean:
                 # enforce divisibility of the remaining block by the pivot
                 offender = None
@@ -244,23 +299,13 @@ def smith_diagonalize(
         if m[s][s] == 0:
             break
     diag = tuple(m[i][i] for i in range(rank_bound))
-    return diag, tuple(c)
-
-
-def _solvable_from_diag(diag: Sequence[int], c: Sequence[int], n: int) -> bool:
-    """Solvability of diag_i * w_i = c_i (mod n), rows past diag being zero."""
-    for i, ci in enumerate(c):
-        d = diag[i] if i < len(diag) else 0
-        if ci % math.gcd(d, n) != 0:
-            return False
-    return True
+    return SmithForm(diag, tuple(tuple(row) for row in u))
 
 
 def solvable_mod(linsys: LinearSystem, n: int) -> bool:
     if n < 2:
         raise ValueError("modulus must be at least 2")
-    diag, c = smith_diagonalize(linsys.matrix, linsys.rhs)
-    return _solvable_from_diag(diag, c, n)
+    return linsys.smith_form().solvable_mod(linsys.rhs, n)
 
 
 def solve_mod(
@@ -269,35 +314,32 @@ def solve_mod(
     """Least solution of the system mod n, or None.
 
     The order is the canonical affine-candidate order per symbol (projections
-    first, then lexicographic), product-ordered over symbols.
+    first, then lexicographic), product-ordered over symbols.  Symbols are
+    fixed one at a time: symbol k takes the first candidate with which the
+    columns of the later symbols still solve the system.  The Smith form of
+    that column suffix decides this exactly, so no choice is ever undone and
+    the result is the least solution a backtracking search would find.
     """
     if n < 2:
         raise ValueError("modulus must be at least 2")
-    symbols = linsys.symbols
-    rows = [list(r) for r in linsys.matrix]
-    rhs = list(linsys.rhs)
-
-    def rec(k: int, cols_off: int, rows_k, rhs_k) -> Optional[list[tuple[int, ...]]]:
-        diag, c = smith_diagonalize([r[cols_off:] for r in rows_k], rhs_k)
-        if not _solvable_from_diag(diag, c, n):
-            return None
-        if k == len(symbols):
-            return []
-        arity = symbols[k].arity
-        for cand in affine_coefficients(n, arity):
-            folded = [
-                rv - sum(row[cols_off + j] * cand[j] for j in range(arity))
-                for row, rv in zip(rows_k, rhs_k)
-            ]
-            tail = rec(k + 1, cols_off + arity, rows_k, folded)
-            if tail is not None:
-                return [cand] + tail
+    if not linsys.smith_form().solvable_mod(linsys.rhs, n):
         return None
-
-    solution = rec(0, 0, rows, rhs)
-    if solution is None:
-        return None
-    return {sym: AffineTerm(n, coeffs) for sym, coeffs in zip(symbols, solution)}
+    rhs = linsys.rhs
+    solution = {}
+    off = 0
+    for k, sym in enumerate(linsys.symbols):
+        rest = linsys.smith_form(k + 1)
+        cols = [row[off:off + sym.arity] for row in linsys.matrix]
+        for cand in affine_coefficients(n, sym.arity):
+            folded = [b - sum(map(operator.mul, col, cand)) for col, b in zip(cols, rhs)]
+            if rest.solvable_mod(folded, n):
+                break
+        else:
+            raise AssertionError("a solvable suffix must admit a candidate")
+        solution[sym] = AffineTerm(n, cand)
+        rhs = folded
+        off += sym.arity
+    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +398,15 @@ class RingVerdict:
     def witness_dict(self) -> dict[Symbol, AffineTerm]:
         return dict(self.witness or ())
 
+    def solvable_mod(self, n: int) -> bool:
+        """Solvability mod n, read off the diagonalised system (exact):
+        diag_i * w_i = c_i (mod n) for every row, rows past diag being zero."""
+        diag = self.snf_diag
+        return all(
+            c % math.gcd(diag[i] if i < len(diag) else 0, n) == 0
+            for i, c in enumerate(self.snf_rhs)
+        )
+
     def to_json(self) -> dict:
         data: dict = {
             "status": "satisfiable" if self.satisfiable else "unsatisfiable-all-finite-rings",
@@ -377,7 +428,8 @@ class RingVerdict:
 
 def solve_some_finite_ring(linsys: LinearSystem) -> RingVerdict:
     """Decide whether any finite ring's reduct satisfies the system."""
-    diag, c = smith_diagonalize(linsys.matrix, linsys.rhs)
+    form = linsys.smith_form()
+    diag, c = form.diag, form.apply(linsys.rhs)
 
     def row_diag(i: int) -> int:
         return diag[i] if i < len(diag) else 0

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from linid import classify
+from linid import classify, reducts
 from linid.classify import (
     Family,
     ManifestError,
@@ -128,6 +128,24 @@ def test_two_ternary_enumeration_canonicalises_each_class_once(monkeypatch):
 
     monkeypatch.setattr(classify, "canonical_blocks", counting)
     assert len(enumerate_family(Family.TWO_TERNARY)) == len(calls) == 329
+
+
+def test_ring_decision_diagonalises_each_column_suffix_once(monkeypatch):
+    systems = enumerate_family(Family.TWO_TERNARY)
+    calls = []
+    kernel = reducts.smith_diagonalize
+
+    def counting(matrix):
+        calls.append(matrix)
+        return kernel(matrix)
+
+    monkeypatch.setattr(reducts, "smith_diagonalize", counting)
+    assert len(systems) == 329
+    for s in systems:
+        before = len(calls)
+        classify_system(s)
+        # one per column suffix: all symbols, the last symbol, none
+        assert len(calls) - before <= len(s.signature) + 1, format_system(s)
 
 
 def test_ternary_term_operations_of_a_induce_master_partitions():

@@ -23,6 +23,26 @@ def test_check_candidate(capsys):
     assert data["holds_in_majority_sizes"] == {"2": True, "3": True, "4": True}
 
 
+def test_check_sweep_reuses_the_ring_decision(capsys, monkeypatch):
+    # ring-unsatisfiable with three variables: the 63-modulus sweep is read
+    # off the ring verdict's diagonalised system
+    monkeypatch.delenv("LINID_OUTPUT_DIR", raising=False)
+    calls = []
+    kernel = reducts.smith_diagonalize
+
+    def counting(matrix):
+        calls.append(matrix)
+        return kernel(matrix)
+
+    monkeypatch.setattr(reducts, "smith_diagonalize", counting)
+    code, out, err = run(capsys, "check", "p(x,x,z)=p(x,z,x)=p(x,z,z)=q(y,y,z)=q(z,y,z)", "--recheck")
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["status"] == "unsatisfiable-all-finite-rings"
+    assert data["modulus_sweep"] == {"bound": 64, "all_unsatisfiable": True}
+    assert len(calls) <= 3
+
+
 def test_check_reads_from_file(tmp_path, capsys):
     path = tmp_path / "system.txt"
     path.write_text("x=x")
@@ -77,6 +97,22 @@ def test_reduct_terms_rejects_unbounded_requests(capsys, monkeypatch):
     ):
         code, out, err = run(capsys, "reduct-terms", *argv)
         assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_reduct_terms_rejects_arity_above_three(capsys, monkeypatch):
+    # terms print in x, y, z only, so a fourth coefficient would be dropped
+    code, out, _ = run(capsys, "reduct-terms", "2", "--arity", "3", "--format", "markdown")
+    assert code == 0 and out.splitlines() == ["x", "y", "z", "x+y+z"]
+
+    def never(n, k):
+        raise AssertionError(f"affine_terms({n}, {k}) started")
+
+    monkeypatch.setattr(reducts, "affine_terms", never)
+    for arity in ("4", "7"):
+        code, out, err = run(capsys, "reduct-terms", "2", "--arity", arity, "--format", "markdown")
+        assert code == 2, arity
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
 

@@ -1,7 +1,9 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from conftest import random_system
 
 from linid.algebra import holds_in, reduct_algebra
 from linid.reducts import (
@@ -20,6 +22,7 @@ from linid.terms import (
     App,
     Symbol,
     Var,
+    format_system,
     parse_system,
     partition_closure,
     system,
@@ -102,6 +105,28 @@ def _brute_solvable(matrix, rhs, n):
     return not matrix or all(b % n == 0 for b in rhs) if cols == 0 else False
 
 
+def _det(matrix):
+    """Determinant by elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(a)):
+        pivot = next((r for r in range(col, len(a)) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, len(a)):
+            f = a[r][col] / a[col][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def _mat_vec(matrix, vec):
+    return tuple(sum(a * b for a, b in zip(row, vec)) for row in matrix)
+
+
 def test_smith_diagonalize_against_brute_force():
     rng = random.Random(99)
     for _ in range(120):
@@ -109,18 +134,81 @@ def test_smith_diagonalize_against_brute_force():
         k = rng.randint(1, 4)
         matrix = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)]
         rhs = [rng.randint(-4, 4) for _ in range(m)]
-        diag, c = smith_diagonalize(matrix, rhs)
+        form = smith_diagonalize(matrix)
+        diag, u = form.diag, form.transform
+        c = _mat_vec(u, rhs)
+        assert form.apply(rhs) == c
         # divisibility chain
         nonzero = [d for d in diag if d]
         for a, b in zip(nonzero, nonzero[1:]):
             assert b % a == 0
         assert all(d >= 0 for d in diag)
+        # U is unimodular, and U A = D V^-1: row i of U A is a multiple of
+        # d_i, and zero past the rank
+        assert len(u) == m and abs(_det(u)) == 1
+        ua = [_mat_vec(list(zip(*matrix)), row) for row in u]
+        for i, row in enumerate(ua):
+            d = diag[i] if i < len(diag) else 0
+            assert all(x == 0 for x in row) if d == 0 else all(x % d == 0 for x in row)
         for n in (2, 3, 4, 5, 6, 7):
             diag_ok = all(
                 ci % __import__("math").gcd(diag[i] if i < len(diag) else 0, n) == 0
                 for i, ci in enumerate(c)
             )
             assert diag_ok == _brute_solvable(matrix, rhs, n)
+            assert form.solvable_mod(rhs, n) == diag_ok
+    # on coefficient systems, U b is the transformed right-hand side that the
+    # ring verdict reports
+    systems = [parse_system(text) for text in CORPUS]
+    systems += [random_system(rng, num_vars=v) for v in (2, 3) for _ in range(15)]
+    for s in systems:
+        linsys = coefficient_system(s)
+        form = smith_diagonalize(linsys.matrix)
+        verdict = solve_some_finite_ring(linsys)
+        assert abs(_det(form.transform)) == 1
+        assert form.diag == verdict.snf_diag
+        assert _mat_vec(form.transform, linsys.rhs) == verdict.snf_rhs
+
+
+def _canonical_candidates(n, k):
+    """Projections first, then the other tuples summing to 1 mod n in
+    lexicographic order."""
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    rest = sorted(
+        c for c in itertools.product(range(n), repeat=k) if sum(c) % n == 1 and c not in units
+    )
+    return units + rest
+
+
+def _least_witness_by_substitution(s, n):
+    """The first product-ordered assignment that verifies pointwise."""
+    symbols = sorted(s.signature, key=lambda sym: sym.order)
+    for combo in itertools.product(*[_canonical_candidates(n, sym.arity) for sym in symbols]):
+        witness = {sym: AffineTerm(n, c) for sym, c in zip(symbols, combo)}
+        if verify_witness(s, n, witness):
+            return witness
+    return None
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_solve_mod_returns_the_least_witness(n):
+    rng = random.Random(1000 + n)
+    P, Q, T, S = Symbol.P, Symbol.Q, Symbol.T, Symbol.S
+    # one, two and three symbols, binary and ternary; a lone binary symbol
+    # or a binary pair has too few 2-variable terms for a random chain
+    shapes = [
+        ({P}, 2), ({P}, 3), ({T}, 3),
+        ({P, Q}, 2), ({P, Q}, 3), ({T, S}, 3), ({T, P}, 2), ({T, P}, 3),
+        ({T, P, Q}, 2), ({T, S, P}, 2),
+    ]
+    found = 0
+    for signature, num_vars in shapes:
+        for _ in range(5):
+            s = random_system(rng, frozenset(signature), num_vars)
+            solved = solve_mod(coefficient_system(s), n)
+            assert solved == _least_witness_by_substitution(s, n), (format_system(s), n)
+            found += solved is not None
+    assert found  # some systems are satisfiable, so witnesses are compared
 
 
 def test_solve_mod_empty_system_least_solution_is_projections():
