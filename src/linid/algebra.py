@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import reducts
 from .terms import App, Partition, Symbol, System, Term, TermUniverse, Var
@@ -257,19 +257,69 @@ def eval_vector(
     return tuple(op.apply(tuple(a[v] for v in t.pattern)) for a in assignments)
 
 
+class MinorTable(NamedTuple):
+    """Every minor of every operation of one clone slice, as value codes.
+
+    A linear identity is height 1: reading t(x,x,y) in an operation f gives
+    the minor of f along the pattern (x,x,y), so an identity holds in the
+    algebra exactly when two minors (or a minor and a variable) have equal
+    value vectors.  rows[k][i] codes the value vector of ops[k] under the
+    i-th pattern of itertools.product(range(num_vars), repeat=arity), and
+    variables[v] codes the projection column of variable v.  A code is the
+    vector read as a base-size number, so equal codes mean equal vectors in
+    every table of the same algebra and number of variables.
+    """
+
+    ops: tuple[OperationTable, ...]
+    rows: tuple[tuple[int, ...], ...]
+    variables: tuple[int, ...]
+
+
+def _code(digits, base: int) -> int:
+    """digits read as a base-base number: a value vector's code, the table
+    index of an argument tuple, or a pattern's position in
+    itertools.product(range(base), repeat=len(pattern))."""
+    code = 0
+    for d in digits:
+        code = code * base + d
+    return code
+
+
+@functools.lru_cache(maxsize=None)
+def minor_table(algebra: FiniteAlgebra, arity: int, num_vars: int, cap: int) -> MinorTable:
+    """The minor table of clone_slice(algebra, arity, cap) over num_vars
+    variables; raises CloneCapExceeded through clone_slice."""
+    ops = clone_slice(algebra, arity, cap).ops
+    size = algebra.size
+    assignments = list(itertools.product(range(size), repeat=num_vars))
+    # per pattern, the table index each assignment reads
+    minors = [
+        [_code([a[v] for v in pattern], size) for a in assignments]
+        for pattern in itertools.product(range(num_vars), repeat=arity)
+    ]
+    rows = tuple(
+        tuple(_code(map(op.table.__getitem__, minor), size) for minor in minors)
+        for op in ops
+    )
+    variables = tuple(_code((a[v] for a in assignments), size) for v in range(num_vars))
+    return MinorTable(ops, rows, variables)
+
+
 def holds_in(s: System, algebra: FiniteAlgebra, cap: int = 4096) -> SatVerdict:
     """Search the clone slices for term operations satisfying every identity.
 
     Deterministic: the reported witness is minimal in slice order (projections
-    first, then table order), taking symbols in canonical order.
+    first, then table order), taking symbols in canonical order.  Every
+    comparison reads the minor tables of the slices; no operation is
+    evaluated here.
     """
     symbols = tuple(sorted(s.signature, key=lambda sy: sy.order))
-    assignments = list(itertools.product(range(algebra.size), repeat=s.num_vars))
-    slices = {sym: clone_slice(algebra, sym.arity, cap) for sym in symbols}
+    num_vars = s.num_vars
+    tables = {sym: minor_table(algebra, sym.arity, num_vars, cap) for sym in symbols}
 
-    var_only: list[tuple[Term, Term]] = []
-    unary: dict[Symbol, list[tuple[Term, Term]]] = {sym: [] for sym in symbols}
-    cross: dict[tuple[Symbol, Symbol], list[tuple[Term, Term]]] = {}
+    var_only: list[tuple[Var, Var]] = []
+    unary: dict[Symbol, list[tuple[App, Term]]] = {sym: [] for sym in symbols}
+    cross: dict[tuple[Symbol, Symbol], list[tuple[App, App]]] = {}
     for ident in s.sorted_identities():
         left, right = ident.left, ident.right
         lsym = left.sym if isinstance(left, App) else None
@@ -285,54 +335,52 @@ def holds_in(s: System, algebra: FiniteAlgebra, cap: int = 4096) -> SatVerdict:
             pair = (left, right) if lsym is a else (right, left)
             cross.setdefault((a, b), []).append(pair)
 
-    for left, right in var_only:
-        if eval_vector(left, assignments) != eval_vector(right, assignments):
-            return SatVerdict(False, None)
+    # distinct variables are distinct projections in any nontrivial algebra
+    if any(left.index != right.index for left, right in var_only):
+        return SatVerdict(False, None)
 
-    candidates: dict[Symbol, list[OperationTable]] = {}
+    def index(t: App) -> int:
+        return _code(t.pattern, num_vars)
+
+    candidates: dict[Symbol, list[int]] = {}
     for sym in symbols:
-        ok = []
-        for op in slices[sym].ops:
-            good = True
-            for left, right in unary[sym]:
-                lv = eval_vector(left, assignments, op)
-                rv = eval_vector(right, assignments, op if isinstance(right, App) else None)
-                if lv != rv:
-                    good = False
-                    break
-            if good:
-                ok.append(op)
+        table = tables[sym]
+        same = [(index(l), index(r)) for l, r in unary[sym] if isinstance(r, App)]
+        fixed = [(index(l), table.variables[r.index]) for l, r in unary[sym] if isinstance(r, Var)]
+        ok = [
+            k for k, row in enumerate(table.rows)
+            if all(row[i] == row[j] for i, j in same) and all(row[i] == c for i, c in fixed)
+        ]
         if not ok:
             return SatVerdict(False, None)
         candidates[sym] = ok
 
-    witness: dict[Symbol, OperationTable] = {}
-
-    def cross_key(sym: Symbol, op: OperationTable, other: Symbol) -> tuple:
-        pair = tuple(sorted((sym, other), key=lambda sy: sy.order))
-        key = []
-        for left, right in cross.get(pair, ()):
-            own = left if (isinstance(left, App) and left.sym is sym) else right
-            key.append(eval_vector(own, assignments, op))
-        return tuple(key)
+    # per pair of symbols, the minor positions each identity compares
+    links = {
+        pair: [(index(left), index(right)) for left, right in idents]
+        for pair, idents in cross.items()
+    }
+    witness: dict[Symbol, int] = {}
 
     if len(symbols) <= 1:
         for sym in symbols:
             witness[sym] = candidates[sym][0]
     elif len(symbols) == 2:
         a, b = symbols
-        buckets: dict[tuple, OperationTable] = {}
-        for op in reversed(candidates[b]):
-            buckets[cross_key(b, op, a)] = op
-        found = False
-        for op_a in candidates[a]:
-            mate = buckets.get(cross_key(a, op_a, b))
+        pairs = links.get((a, b), [])
+        rows_a, rows_b = tables[a].rows, tables[b].rows
+        buckets: dict[tuple, int] = {}
+        for k in reversed(candidates[b]):
+            row = rows_b[k]
+            buckets[tuple(row[j] for _i, j in pairs)] = k
+        for k in candidates[a]:
+            row = rows_a[k]
+            mate = buckets.get(tuple(row[i] for i, _j in pairs))
             if mate is not None:
-                witness[a] = op_a
+                witness[a] = k
                 witness[b] = mate
-                found = True
                 break
-        if not found:
+        else:
             return SatVerdict(False, None)
     else:
         order = list(symbols)
@@ -341,29 +389,24 @@ def holds_in(s: System, algebra: FiniteAlgebra, cap: int = 4096) -> SatVerdict:
             if k == len(order):
                 return True
             sym = order[k]
-            for op in candidates[sym]:
-                witness[sym] = op
-                ok = True
-                for j in range(k):
-                    other = order[j]
-                    pair = tuple(sorted((sym, other), key=lambda sy: sy.order))
-                    for left, right in cross.get(pair, ()):
-                        lv = eval_vector(left, assignments, witness[left.sym])
-                        rv = eval_vector(right, assignments, witness[right.sym])
-                        if lv != rv:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok and rec(k + 1):
-                    return True
-                del witness[sym]
+            rows = tables[sym].rows
+            # each identity with an earlier symbol fixes one minor of sym
+            checks = []
+            for other in order[:k]:
+                other_row = tables[other].rows[witness[other]]
+                checks += [(j, other_row[i]) for i, j in links.get((other, sym), ())]
+            for c in candidates[sym]:
+                row = rows[c]
+                if all(row[j] == v for j, v in checks):
+                    witness[sym] = c
+                    if rec(k + 1):
+                        return True
             return False
 
         if not rec(0):
             return SatVerdict(False, None)
 
-    return SatVerdict(True, tuple((sym, witness[sym]) for sym in symbols))
+    return SatVerdict(True, tuple((sym, tables[sym].ops[witness[sym]]) for sym in symbols))
 
 
 def induced_partition(

@@ -8,6 +8,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -350,7 +351,10 @@ def _cmd_verify_paper(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls:
+    parsing returns a fresh namespace and leaves the parser unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output-dir", "-o", type=Path, default=None,
                         help=f"directory for reports and certificates (default ${OUTPUT_DIR_ENV})")
@@ -439,6 +443,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args, cfg)
     except (ParseError, classify.ManifestError, alg.CloneCapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # an unreadable input or unwritable output path
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

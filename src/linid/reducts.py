@@ -10,6 +10,7 @@ decided through the Smith normal form of that system.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -70,11 +71,12 @@ def parse_affine(text: str, modulus: int, arity: int = 3) -> AffineTerm:
     return AffineTerm(modulus, tuple(coeffs))
 
 
-def affine_coefficients(n: int, k: int) -> list[tuple[int, ...]]:
+@functools.lru_cache(maxsize=None)
+def affine_coefficients(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All k-tuples over Z_n summing to 1, projections first then lexicographic.
 
     This is the canonical candidate order used everywhere a least witness is
-    reported.  Exactly n**(k-1) tuples.
+    reported.  Exactly n**(k-1) tuples, computed once per (n, k).
     """
     if n < 2:
         raise ValueError("modulus must be at least 2")
@@ -90,7 +92,7 @@ def affine_coefficients(n: int, k: int) -> list[tuple[int, ...]]:
         if coeffs not in projections:
             rest.append(coeffs)
     rest.sort()
-    return projections + rest
+    return tuple(projections + rest)
 
 
 def affine_terms(n: int, k: int) -> list[AffineTerm]:

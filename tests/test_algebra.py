@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from conftest import random_system
 from linid.algebra import (
     CloneCapExceeded,
     OperationTable,
+    SatVerdict,
     check_wnu_bridge,
     clone_slice,
     holds_in,
@@ -16,9 +18,11 @@ from linid.algebra import (
     semilattice_b,
 )
 from linid.terms import (
+    App,
     Symbol,
     Var,
     apply_symmetry,
+    format_system,
     parse_system,
     partition_closure,
     symmetry_group,
@@ -128,6 +132,66 @@ def test_clone_slices_are_closed_under_basic_composition():
 def test_clone_cap_exceeded():
     with pytest.raises(CloneCapExceeded):
         clone_slice(semilattice_b(), 3, cap=3)
+
+
+def _first_witness_by_product(s, algebra):
+    """Reference for holds_in: walk every choice of slice operations in slice
+    order, the last symbol fastest, and check each identity at every
+    assignment with a local evaluator; the first choice that passes wins."""
+    symbols = sorted(s.signature, key=lambda sy: sy.order)
+    slices = [clone_slice(algebra, sym.arity).ops for sym in symbols]
+    assignments = list(itertools.product(range(algebra.size), repeat=s.num_vars))
+
+    def value(t, ops, args):
+        if not isinstance(t, App):
+            return args[t.index]
+        idx = 0
+        for v in t.pattern:
+            idx = idx * algebra.size + args[v]
+        return ops[t.sym].table[idx]
+
+    for choice in itertools.product(*slices):
+        ops = dict(zip(symbols, choice))
+        if all(
+            value(i.left, ops, args) == value(i.right, ops, args)
+            for i in s.identities
+            for args in assignments
+        ):
+            return SatVerdict(True, tuple(zip(symbols, choice)))
+    return SatVerdict(False, None)
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [semilattice_b(), majority_a(2), majority_a(3), majority_a(4), reduct_algebra(2), reduct_algebra(3)],
+    ids=["B", "A2", "A3", "A4", "R2", "R3"],
+)
+def test_holds_in_returns_the_first_witness(algebra):
+    rng = random.Random(algebra.size * 31 + len(algebra.ops))
+    P, Q, T, S = Symbol.P, Symbol.Q, Symbol.T, Symbol.S
+    # one, two and three symbols; a lone binary symbol has too few
+    # 2-variable terms for a random chain
+    shapes = [
+        ({P}, 2), ({P}, 3), ({T}, 3),
+        ({P, Q}, 2), ({P, Q}, 3), ({T, P}, 2), ({T, S}, 3),
+        ({P, Q, T}, 2), ({P, Q, T}, 3), ({T, S, P}, 2),
+    ]
+    found = {1: 0, 2: 0, 3: 0}
+    for signature, num_vars in shapes:
+        for _ in range(20):
+            s = random_system(rng, frozenset(signature), num_vars)
+            verdict = holds_in(s, algebra)
+            assert verdict == _first_witness_by_product(s, algebra), format_system(s)
+            found[len(signature)] += verdict.satisfiable
+    # witnesses are compared for every number of symbols
+    assert all(found.values()), found
+
+
+def test_holds_in_clone_cap_exceeded():
+    s = parse_system(S4)
+    assert holds_in(s, semilattice_b()).satisfiable
+    with pytest.raises(CloneCapExceeded):
+        holds_in(s, semilattice_b(), cap=3)
 
 
 def test_holds_in_s4_in_majority():

@@ -1,7 +1,7 @@
 import json
 
 from linid import reducts
-from linid.cli import main
+from linid.cli import build_parser, main
 
 S4 = "p(x,x,y)=p(x,y,y); p(x,y,x)=q(x,x,y)=q(x,y,x)=q(y,x,x)"
 
@@ -231,4 +231,32 @@ def test_clone_cap_exceeded_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: clone slice exceeds cap 5")
+    assert len(err.splitlines()) == 1
+
+
+def test_parser_built_once_and_left_unchanged_by_a_parse(capsys, monkeypatch):
+    monkeypatch.delenv("LINID_OUTPUT_DIR", raising=False)
+    build_parser.cache_clear()
+    first = run(capsys, "check", S4)
+    build_parser.cache_clear()
+    assert run(capsys, "clone", "a:3", "3", "--cap", "5")[0] == 2
+    assert run(capsys, "check", S4, "--modulus-bound", "8")[0] == 0
+    assert run(capsys, "check", S4) == first
+    assert build_parser.cache_info().misses == 1
+
+
+def test_missing_manifest_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(capsys, "verify-paper", "--manifest", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(missing) in err
+    assert len(err.splitlines()) == 1
+
+
+def test_check_directory_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, "check", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
     assert len(err.splitlines()) == 1
