@@ -85,11 +85,15 @@ class FiniteAlgebra:
         }
 
 
+@functools.lru_cache(maxsize=None)
 def semilattice_b() -> FiniteAlgebra:
-    """The two-element meet semilattice, with 0 as the absorbing bottom."""
+    """The two-element meet semilattice, with 0 as the absorbing bottom.
+
+    Built once per process, like majority_a(m): both are immutable."""
     return FiniteAlgebra(2, (table_from_function("meet", 2, 2, min),))
 
 
+@functools.lru_cache(maxsize=None)
 def majority_a(m: int = 3) -> FiniteAlgebra:
     """Majority algebra: f returns the repeated argument, else the first one."""
     if m < 2:

@@ -15,7 +15,14 @@ neither loses a class:
   of a block B onto those of g(B), so both blocks reach the same orbits.
 - Orbit marking.  Canonicalising a raw partition marks all its images under
   the group; a marked partition is skipped.  Its images lie in its orbit, so
-  they share its canonical form.
+  they share its canonical form.  The kernel computes each image once: the
+  same moved blocks give the image's chain-pair key and its mark.
+
+Each run decides each ring system once.  A memo made per verify_paper call
+(or per minimal_candidates call on its own) holds the ring verdict of every
+system decided so far, keyed on the system with its signature and variable
+count; classification, the weakening sweep and the manifest's `minimal`
+entries all read it, and it does not outlive the call.
 """
 from __future__ import annotations
 
@@ -32,6 +39,7 @@ from .terms import (
     System,
     TermUniverse,
     Var,
+    block_mark,
     canonical_blocks,
     canonicalize,
     partition_closure,
@@ -129,20 +137,6 @@ def _xblock_orbit_representatives(
     return list(reps.values())
 
 
-def _mark(blocks: Iterable[Sequence[int]], weights: Sequence[int]) -> int:
-    """One integer naming a set of disjoint index blocks.
-
-    Index i holds, in the digit weights[i], the least index of its block plus
-    one; indices outside every block hold 0.  The digits determine the blocks.
-    """
-    mark = 0
-    for b in blocks:
-        label = min(b) + 1
-        for i in b:
-            mark += label * weights[i]
-    return mark
-
-
 def enumerate_family(family: Family) -> tuple[System, ...]:
     """All canonical systems in the family, deduplicated and ordered.
 
@@ -150,27 +144,24 @@ def enumerate_family(family: Family) -> tuple[System, ...]:
     converted to a system (identities chain each block; the y side is implied
     by the x/y renaming) and reduced to its canonical form.  Only one x-block
     per symmetry orbit is walked, since the partitions of g(B) are the images
-    under g of those of B; and each canonicalised partition marks its whole
-    orbit, so the kernel runs once per class.  Neither reduction drops a
-    class: a skipped partition lies in an orbit already reached.
+    under g of those of B; and the kernel marks the whole orbit of each
+    partition it canonicalises, so it runs once per class.  Neither
+    reduction drops a class: a skipped partition lies in an orbit already
+    reached.
     """
     tables = symmetry_tables(family.signature, 2, frozenset())
     universe, perms = tables.universe, tables.perms
-    width = len(universe).bit_length()
-    weights = [1 << (width * i) for i in range(len(universe))]
+    size = len(universe)
     marked: set[int] = set()
     canon: dict[tuple, tuple[tuple[int, ...], ...]] = {}
     x_index = universe.index(Var(0))
     for xblock in _xblock_orbit_representatives(family, perms, x_index):
         for parts in set_partitions(xblock):
             raw = [p for p in parts if len(p) > 1]
-            if _mark(raw, weights) in marked:
+            if block_mark(raw, size) in marked:
                 continue
-            key, _k, blocks = canonical_blocks(raw, perms)
+            key, _k, blocks = canonical_blocks(raw, perms, marked)
             canon[key] = blocks
-            marked.update(
-                _mark([[perm[i] for i in b] for b in raw], weights) for perm in perms
-            )
     return tuple(
         _system_from_index_blocks(universe, canon[key]) for key in sorted(canon)
     )
@@ -208,8 +199,28 @@ class Classification:
         }
 
 
-def classify_system(s: System) -> Classification:
-    ring = reducts.solve_some_finite_ring(reducts.coefficient_system(s))
+RingMemo = dict[tuple[System, frozenset[Symbol], int], reducts.RingVerdict]
+
+
+def ring_verdict(s: System, memo: RingMemo) -> reducts.RingVerdict:
+    """The some-finite-ring verdict of s, decided once per memo.
+
+    The key holds the signature and the variable count because System
+    equality ignores both while the coefficient system does not.  Verdicts
+    are not moved along symmetry: the witness and the transformed right-hand
+    side depend on the representative.
+    """
+    key = (s, s.signature, s.num_vars)
+    verdict = memo.get(key)
+    if verdict is None:
+        verdict = memo[key] = reducts.solve_some_finite_ring(
+            reducts.coefficient_system(s)
+        )
+    return verdict
+
+
+def classify_system(s: System, memo: Optional[RingMemo] = None) -> Classification:
+    ring = ring_verdict(s, {} if memo is None else memo)
     in_b = alg.holds_in(s, alg.semilattice_b())
     in_a = alg.holds_in(s, _WITNESS_ALGEBRA)
     return Classification(s, ring, in_b, in_a)
@@ -312,10 +323,18 @@ def candidate_weakenings(s: System, universe: TermUniverse) -> tuple[System, ...
     return tuple(system_from_partition(p) for p in weakenings(closure))
 
 
-def minimal_candidates(family: Family) -> CandidateReport:
-    """Classify the whole family and compute its minimal candidates."""
+def minimal_candidates(
+    family: Family, memo: Optional[RingMemo] = None
+) -> CandidateReport:
+    """Classify the whole family and compute its minimal candidates.
+
+    Ring verdicts go through memo, a fresh one unless the caller shares its
+    own: weakenings of different candidates often coincide.
+    """
+    if memo is None:
+        memo = {}
     systems = enumerate_family(family)
-    classifications = [classify_system(s) for s in systems]
+    classifications = [classify_system(s, memo) for s in systems]
     num_ring = sum(1 for c in classifications if c.ring_verdict.satisfiable)
     num_fails_b = sum(1 for c in classifications if not c.holds_in_b.satisfiable)
     num_fails_a = sum(1 for c in classifications if not c.holds_in_a.satisfiable)
@@ -326,7 +345,7 @@ def minimal_candidates(family: Family) -> CandidateReport:
         records = []
         weaker = []
         for weak in candidate_weakenings(cand.system, universe):
-            ring = reducts.solve_some_finite_ring(reducts.coefficient_system(weak))
+            ring = ring_verdict(weak, memo)
             records.append(WeakeningRecord(weak, ring))
             if not ring.satisfiable:
                 weaker.append(canonicalize(weak, family.signature)[0])
@@ -539,7 +558,9 @@ def _projection_witness_exists(s: System) -> bool:
     return False
 
 
-def _check_entry(entry: ManifestEntry, reports: dict[Family, CandidateReport]) -> Finding:
+def _check_entry(
+    entry: ManifestEntry, reports: dict[Family, CandidateReport], memo: RingMemo
+) -> Finding:
     from .terms import format_system
 
     s = entry.system
@@ -582,14 +603,13 @@ def _check_entry(entry: ManifestEntry, reports: dict[Family, CandidateReport]) -
                 detail = f"per-modulus solver finds solutions mod {spot}"
         return Finding(entry, ok, detail)
     if entry.kind == "minimal":
-        cls = classify_system(s)
+        cls = classify_system(s, memo)
         if not cls.is_candidate:
             return Finding(entry, False, "system is not a candidate")
         universe = entry.family.universe
         bad = []
         for weak in candidate_weakenings(s, universe):
-            rv = reducts.solve_some_finite_ring(reducts.coefficient_system(weak))
-            if not rv.satisfiable:
+            if not ring_verdict(weak, memo).satisfiable:
                 bad.append(format_system(weak))
         ok = not bad
         detail = (
@@ -647,8 +667,13 @@ def verify_paper(manifest_text: Optional[str] = None) -> VerifyReport:
         for e in entries
         if e.kind in ("minimal-candidates", "zero-candidates")
     }
-    reports = {fam: minimal_candidates(fam) for fam in sorted(needed, key=lambda f: f.value)}
-    findings = tuple(_check_entry(e, reports) for e in entries)
+    # one memo per run: the sweeps and the `minimal` entries share verdicts
+    memo: RingMemo = {}
+    reports = {
+        fam: minimal_candidates(fam, memo)
+        for fam in sorted(needed, key=lambda f: f.value)
+    }
+    findings = tuple(_check_entry(e, reports, memo) for e in entries)
     return VerifyReport(findings)
 
 

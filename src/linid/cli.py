@@ -255,12 +255,14 @@ def render_candidate_report_markdown(report: classify.CandidateReport) -> str:
 def _cmd_minimal(args, cfg: RunConfig) -> int:
     family = classify.Family.parse(args.family)
     report = classify.minimal_candidates(family)
+    text = _dump(report.to_json())
+    markdown = render_candidate_report_markdown(report)
     if cfg.output_format in ("json", "both"):
-        print(_dump(report.to_json()))
+        print(text)
     if cfg.output_format in ("markdown", "both"):
-        print(render_candidate_report_markdown(report))
-    _write(cfg, f"minimal_{family.value}.json", _dump(report.to_json()) + "\n")
-    _write(cfg, f"minimal_{family.value}.md", render_candidate_report_markdown(report) + "\n")
+        print(markdown)
+    _write(cfg, f"minimal_{family.value}.json", text + "\n")
+    _write(cfg, f"minimal_{family.value}.md", markdown + "\n")
     if cfg.output_dir is not None:
         written = []
         for cls in report.candidates:
@@ -329,12 +331,14 @@ def _cmd_verify_paper(args, cfg: RunConfig) -> int:
     except classify.ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    text = _dump(report.to_json())
+    markdown = render_verify_report_markdown(report)
     if cfg.output_format in ("json", "both"):
-        print(_dump(report.to_json()))
+        print(text)
     if cfg.output_format in ("markdown", "both"):
-        print(render_verify_report_markdown(report))
-    _write(cfg, "verify_report.json", _dump(report.to_json()) + "\n")
-    _write(cfg, "verify_report.md", render_verify_report_markdown(report) + "\n")
+        print(markdown)
+    _write(cfg, "verify_report.json", text + "\n")
+    _write(cfg, "verify_report.md", markdown + "\n")
     if not report.ok:
         for f in report.findings:
             if not f.ok:

@@ -400,14 +400,21 @@ class RingVerdict:
     def witness_dict(self) -> dict[Symbol, AffineTerm]:
         return dict(self.witness or ())
 
+    @functools.cached_property
+    def _nonzero_rows(self) -> tuple[tuple[int, int], ...]:
+        """(d_i, c_i) for the rows with c_i != 0, rows past diag having d_i = 0."""
+        diag = self.snf_diag
+        return tuple(
+            (diag[i] if i < len(diag) else 0, c)
+            for i, c in enumerate(self.snf_rhs)
+            if c
+        )
+
     def solvable_mod(self, n: int) -> bool:
         """Solvability mod n, read off the diagonalised system (exact):
-        diag_i * w_i = c_i (mod n) for every row, rows past diag being zero."""
-        diag = self.snf_diag
-        return all(
-            c % math.gcd(diag[i] if i < len(diag) else 0, n) == 0
-            for i, c in enumerate(self.snf_rhs)
-        )
+        diag_i * w_i = c_i (mod n) for every row, rows past diag being zero.
+        A row with c_i = 0 holds at every n, so only the others are tested."""
+        return all(c % math.gcd(d, n) == 0 for d, c in self._nonzero_rows)
 
     def to_json(self) -> dict:
         data: dict = {

@@ -662,8 +662,32 @@ def symmetry_tables(
     return SymmetryTables(universe, group, perms)
 
 
+@functools.lru_cache(maxsize=None)
+def _mark_weights(size: int) -> tuple[int, ...]:
+    width = size.bit_length()
+    return tuple(1 << (width * i) for i in range(size))
+
+
+def block_mark(blocks: Iterable[Sequence[int]], size: int) -> int:
+    """One integer naming a set of disjoint blocks of indices below size.
+
+    Index i holds, in its own digit of size.bit_length() bits, the least
+    index of its block plus one; indices outside every block hold 0.  The
+    digits determine the blocks.
+    """
+    weights = _mark_weights(size)
+    mark = 0
+    for b in blocks:
+        label = min(b) + 1
+        for i in b:
+            mark += label * weights[i]
+    return mark
+
+
 def canonical_blocks(
-    blocks: Sequence[Sequence[int]], perms: Sequence[Sequence[int]]
+    blocks: Sequence[Sequence[int]],
+    perms: Sequence[Sequence[int]],
+    marks: Optional[set[int]] = None,
 ) -> tuple[tuple[tuple[int, int], ...], int, tuple[tuple[int, ...], ...]]:
     """Least image of index blocks under a list of index permutations.
 
@@ -672,15 +696,22 @@ def canonical_blocks(
     the key needs no re-normalising, and universes list terms in term order,
     so on indices it orders images as system_key does.  Returns the least key,
     the position of the first permutation reaching it, and the moved blocks,
-    sorted.
+    sorted.  If marks is given, the block_mark of every image is added to it,
+    from the same moved blocks that give the key.
     """
+    weights = None if marks is None else _mark_weights(len(perms[0]))
     best_key: Optional[list] = None
     best_k = 0
     for k, perm in enumerate(perms):
         key = []
+        mark = 0
         for b in blocks:
             moved = sorted([perm[i] for i in b])
             key.extend(zip(moved, moved[1:]))
+            if weights is not None:
+                mark += (moved[0] + 1) * sum([weights[i] for i in moved])
+        if weights is not None:
+            marks.add(mark)
         key.sort()
         if best_key is None or key < best_key:
             best_key, best_k = key, k

@@ -37,6 +37,7 @@ PQ = frozenset((Symbol.P, Symbol.Q))
 
 def test_semilattice_meet_with_zero_bottom():
     b = semilattice_b()
+    assert semilattice_b() is b  # built once per process
     meet = b.ops[0]
     assert meet.apply((0, 1)) == 0
     assert meet.apply((1, 0)) == 0
@@ -49,6 +50,7 @@ def test_semilattice_meet_with_zero_bottom():
 
 def test_majority_values():
     a = majority_a(3)
+    assert majority_a(3) is a and majority_a(4) is majority_a(4)
     f = a.ops[0]
     assert f.apply((0, 1, 0)) == 0
     assert f.apply((0, 1, 2)) == 0  # pairwise distinct: first argument

@@ -26,6 +26,7 @@ from linid.terms import (
     partition_from_blocks,
     set_partitions,
     symmetry_group,
+    system,
     system_from_partition,
     system_key,
 )
@@ -122,9 +123,9 @@ def test_two_ternary_enumeration_canonicalises_each_class_once(monkeypatch):
     calls = []
     kernel = classify.canonical_blocks
 
-    def counting(blocks, perms):
+    def counting(blocks, perms, marks=None):
         calls.append(blocks)
-        return kernel(blocks, perms)
+        return kernel(blocks, perms, marks)
 
     monkeypatch.setattr(classify, "canonical_blocks", counting)
     assert len(enumerate_family(Family.TWO_TERNARY)) == len(calls) == 329
@@ -210,9 +211,55 @@ def test_classification_symmetry_invariance_sample():
             assert moved.holds_in_a.satisfiable == base.holds_in_a.satisfiable
 
 
+def test_verify_paper_decides_each_ring_system_once(monkeypatch):
+    calls = []
+    solve = reducts.solve_some_finite_ring
+
+    def counting(linsys):
+        calls.append(linsys)
+        return solve(linsys)
+
+    monkeypatch.setattr(reducts, "solve_some_finite_ring", counting)
+    first = verify_paper()
+    per_run = len(calls)
+    # 991 without the memo: the weakening sweeps and the `minimal` entries
+    # repeat systems that classification already decided
+    assert per_run <= 720
+    second = verify_paper()
+    # a second run decides everything again: the memo lives for one run
+    assert len(calls) == 2 * per_run
+    assert first == second
+
+
+def test_ring_memo_keeps_signature_and_variable_count_apart():
+    base = parse_system("p(x,x,y)=x; p(x,y,x)=y")
+    variants = [
+        base,
+        system(base.identities, signature=Family.TWO_TERNARY.signature),
+        system(base.identities, num_vars=3),
+    ]
+    # System equality ignores both, the coefficient system does not
+    assert variants[0] == variants[1] == variants[2]
+    memo = {}
+    verdicts = [classify.ring_verdict(s, memo) for s in variants]
+    for s, verdict in zip(variants, verdicts):
+        assert verdict == reducts.solve_some_finite_ring(reducts.coefficient_system(s))
+        assert classify.ring_verdict(s, memo) is verdict
+    assert len({json.dumps(v.to_json(), sort_keys=True) for v in verdicts}) == 3
+
+
 @pytest.fixture(scope="module")
 def two_ternary_report():
     return minimal_candidates(Family.TWO_TERNARY)
+
+
+def test_shared_memo_keeps_each_family_its_own_verdicts(two_ternary_report):
+    # as in verify_paper, SingleTernary first decides p-only systems over
+    # {p}; the TwoTernary weakenings equal to them are decided over {p, q}
+    memo = {}
+    minimal_candidates(Family.SINGLE_TERNARY, memo)
+    shared = minimal_candidates(Family.TWO_TERNARY, memo)
+    assert shared.to_json() == two_ternary_report.to_json()
 
 
 def test_minimal_two_ternary(two_ternary_report):

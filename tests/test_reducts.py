@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -277,6 +278,30 @@ def test_ring_verdict_json_shapes():
     assert data["status"] == "unsatisfiable-all-finite-rings"
     assert data["snf"]["diag"]
     assert data["blocked_gcd"] in (0, 1) or data["excluded_primes"]
+
+
+def test_ring_verdict_solvable_mod_tests_only_nonzero_rows():
+    # reference: the all-rows rule, gcd(d_i, n) divides c_i on every row
+    rng = random.Random(64)
+    systems = [parse_system(text) for text in CORPUS]
+    systems += [
+        random_system(rng, sig, v)
+        for sig in (PQ, frozenset((Symbol.P, Symbol.T)))
+        for v in (2, 3)
+        for _ in range(40)
+    ]
+    outcomes = set()
+    for s in systems:
+        verdict = solve_some_finite_ring(coefficient_system(s))
+        diag = verdict.snf_diag
+        for n in range(2, 65):
+            want = all(
+                c % math.gcd(diag[i] if i < len(diag) else 0, n) == 0
+                for i, c in enumerate(verdict.snf_rhs)
+            )
+            assert verdict.solvable_mod(n) == want, (format_system(s), n)
+            outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 CORPUS = [

@@ -4,6 +4,7 @@ from conftest import random_system
 
 import pytest
 
+from linid.classify import Family
 from linid.terms import (
     App,
     Identity,
@@ -14,6 +15,8 @@ from linid.terms import (
     app,
     apply_symmetry,
     bell_number,
+    block_mark,
+    canonical_blocks,
     canonicalize,
     format_system,
     mirror,
@@ -23,6 +26,7 @@ from linid.terms import (
     set_partitions,
     substitute_variable,
     symmetry_group,
+    symmetry_tables,
     system_from_partition,
     system_key,
     term_key,
@@ -281,6 +285,34 @@ def test_canonicalize_is_first_orbit_minimum():
         assert canonicalize(s, ambient) == (best, first)
         if ambient == sig:
             assert canonicalize(s) == (best, first)
+
+
+def _random_raw_blocks(rng, size):
+    """Disjoint index blocks of two or more indices below size."""
+    chosen = rng.sample(range(size), rng.randint(0, size))
+    blocks = {}
+    for i in chosen:
+        blocks.setdefault(rng.randrange(max(1, len(chosen) // 2)), []).append(i)
+    return [b for b in blocks.values() if len(b) > 1]
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_canonical_blocks_marks_every_image_once(family):
+    # reference: map the raw blocks through each permutation, then mark
+    rng = random.Random(f"marks {family.value}")
+    tables = symmetry_tables(family.signature, 2, frozenset())
+    perms, size = tables.perms, len(tables.universe)
+    seen = {}
+    for _ in range(60):
+        raw = _random_raw_blocks(rng, size)
+        marks = set()
+        assert canonical_blocks(raw, perms, marks) == canonical_blocks(raw, perms)
+        assert marks == {
+            block_mark([[perm[i] for i in b] for b in raw], size) for perm in perms
+        }
+        # a mark names its blocks
+        named = frozenset(frozenset(b) for b in raw)
+        assert seen.setdefault(block_mark(raw, size), named) == named
 
 
 def test_canonicalize_idempotent():
