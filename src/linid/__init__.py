@@ -8,18 +8,14 @@ from .terms import (
     ParseError,
     Partition,
     Symbol,
-    SymmetryElement,
     System,
     TermUniverse,
     Var,
-    apply_symmetry,
     canonicalize,
     format_system,
-    mirror,
     parse_system,
     partition_closure,
     substitute_variable,
-    symmetry_group,
     system,
     term_universe,
     weakenings,

@@ -348,7 +348,7 @@ def minimal_candidates(
             ring = ring_verdict(weak, memo)
             records.append(WeakeningRecord(weak, ring))
             if not ring.satisfiable:
-                weaker.append(canonicalize(weak, family.signature)[0])
+                weaker.append(canonicalize(weak, family.signature))
         dedup = []
         for w in weaker:
             if w not in dedup:
@@ -621,7 +621,7 @@ def _check_entry(
     if entry.kind == "minimal-candidates":
         report = reports[entry.family]
         got = {s for s in report.minimal_candidates}
-        want = {canonicalize(s, entry.family.signature)[0] for s in entry.expected_systems}
+        want = {canonicalize(s, entry.family.signature) for s in entry.expected_systems}
         ok = got == want
         if ok:
             detail = f"{len(got)} minimal candidates, exact match"
@@ -690,7 +690,7 @@ def brute_force_candidates(family: Family) -> tuple[System, ...]:
     for parts in set_partitions(range(len(universe))):
         blocks = [b for b in parts if len(b) > 1]
         s = _system_from_index_blocks(universe, blocks)
-        canon = canonicalize(s, family.signature)[0]
+        canon = canonicalize(s, family.signature)
         if canon in seen:
             continue
         seen.add(canon)

@@ -30,10 +30,14 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
+# Upper bounds on the inputs that size work; tables grow as size**arity.
+MAX_MODULUS_BOUND = 100_000
+MAX_ALGEBRA_SIZE = 12
+MAX_CLONE_CAP = 4096
+
 
 @dataclass
 class RunConfig:
-    command: str
     modulus_bound: int = 64
     algebra_sizes: tuple[int, ...] = (2, 3, 4)
     output_dir: Optional[Path] = None
@@ -42,10 +46,11 @@ class RunConfig:
     recheck: bool = False
 
     def __post_init__(self) -> None:
-        if self.modulus_bound < 2:
-            raise ValueError("modulus bound must be at least 2")
-        if self.output_format not in ("json", "markdown", "both"):
-            raise ValueError("format must be json, markdown or both")
+        if not 2 <= self.modulus_bound <= MAX_MODULUS_BOUND:
+            raise ValueError(f"modulus bound must be between 2 and {MAX_MODULUS_BOUND}")
+        for m in self.algebra_sizes:
+            if not 2 <= m <= MAX_ALGEBRA_SIZE:
+                raise ValueError(f"--sizes-a entries must be between 2 and {MAX_ALGEBRA_SIZE}")
 
 
 def _certificate_name(canonical_dsl: str) -> str:
@@ -83,7 +88,7 @@ def _classification_certificate(cls: classify.Classification, canon) -> dict:
 
 
 def check_certificate(s, cfg: RunConfig) -> dict:
-    canon, _ = canonicalize(s)
+    canon = canonicalize(s)
     cls = classify.classify_system(s)
     cert = _classification_certificate(cls, canon)
     ring = cls.ring_verdict
@@ -164,19 +169,28 @@ def _cmd_check(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _algebra_size(text: str) -> int:
+    size = int(text)
+    if size > MAX_ALGEBRA_SIZE:
+        raise ValueError(f"algebra size {size} exceeds {MAX_ALGEBRA_SIZE}")
+    return size
+
+
 def _parse_algebra(spec: str) -> alg.FiniteAlgebra:
     if spec == "b":
         return alg.semilattice_b()
     if spec == "a":
         return alg.majority_a(3)
     if spec.startswith("a:"):
-        return alg.majority_a(int(spec[2:]))
+        return alg.majority_a(_algebra_size(spec[2:]))
     if spec.startswith("reduct:"):
-        return alg.reduct_algebra(int(spec[7:]))
+        return alg.reduct_algebra(_algebra_size(spec[7:]))
     raise ValueError(f"unknown algebra {spec!r} (use b, a, a:<m> or reduct:<n>)")
 
 
 def _cmd_clone(args, cfg: RunConfig) -> int:
+    if args.cap > MAX_CLONE_CAP:
+        raise ValueError(f"--cap must be at most {MAX_CLONE_CAP}")
     algebra = _parse_algebra(args.algebra)
     sl = alg.clone_slice(algebra, args.arity, cap=args.cap)
     data = {"algebra": algebra.to_json(), "slice": sl.to_json()}
@@ -384,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print a clone slice of a built-in algebra")
     p.add_argument("algebra", help="b | a | a:<m> | reduct:<n>")
     p.add_argument("arity", type=int)
-    p.add_argument("--cap", type=int, default=4096)
+    p.add_argument("--cap", type=int, default=MAX_CLONE_CAP)
 
     p = sub.add_parser("reduct-terms", parents=[common],
                        help="idempotent affine operations over Z_n")
@@ -412,7 +426,6 @@ def _config_from_args(args) -> RunConfig:
         output_dir = Path(os.environ[OUTPUT_DIR_ENV])
     sizes = tuple(int(x) for x in args.sizes_a.split(",") if x)
     return RunConfig(
-        command=args.command,
         modulus_bound=args.modulus_bound,
         algebra_sizes=sizes,
         output_dir=output_dir,

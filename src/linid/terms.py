@@ -20,6 +20,10 @@ class Symbol(Enum):
     T = "t"
     S = "s"
 
+    # members are singletons, so identity hashing is sound; Enum's own
+    # __hash__ is a Python-level call on every set and dict lookup
+    __hash__ = object.__hash__
+
     @property
     def arity(self) -> int:
         return 2 if self in (Symbol.T, Symbol.S) else 3
@@ -489,143 +493,12 @@ def substitute_variable(s: System, src: int, dst: int) -> System:
 
 # ---------------------------------------------------------------------------
 # The symmetry group: variable renamings, per-symbol argument permutations,
-# and the p<->q swap.  Substituting s(x_perm) for s everywhere is invertible
-# and preserves satisfiability, so orbits share all classification verdicts.
+# and the p<->q and t<->s swaps.  Substituting s(x_perm) for s everywhere is
+# invertible and preserves satisfiability, so orbits share all
+# classification verdicts.  An element exists only as the index permutation
+# it induces on a term universe, with the symbol map that names its images'
+# signature.
 # ---------------------------------------------------------------------------
-
-_ID2 = (0, 1)
-_ID3 = (0, 1, 2)
-
-
-def _perm_compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """(f o g)[i] = f[g[i]]."""
-    return tuple(f[g[i]] for i in range(len(g)))
-
-
-def _perm_inverse(f: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(f)
-    for i, v in enumerate(f):
-        inv[v] = i
-    return tuple(inv)
-
-
-@dataclass(frozen=True)
-class SymmetryElement:
-    """One element of the symmetry group acting on terms and systems.
-
-    Action on a term: permute the argument positions of its symbol (pattern[j]
-    becomes pattern[arg_perm[j]]), then swap same-arity symbols if requested,
-    then rename variables.  var_perm may fix variables beyond the system's
-    num_vars.
-    """
-
-    var_perm: tuple[int, ...] = (0, 1, 2)
-    p_arg_perm: tuple[int, ...] = _ID3
-    q_arg_perm: tuple[int, ...] = _ID3
-    t_arg_perm: tuple[int, ...] = _ID2
-    s_arg_perm: tuple[int, ...] = _ID2
-    swap_pq: bool = False
-    swap_ts: bool = False
-
-    def arg_perm(self, sym: Symbol) -> tuple[int, ...]:
-        return {
-            Symbol.P: self.p_arg_perm,
-            Symbol.Q: self.q_arg_perm,
-            Symbol.T: self.t_arg_perm,
-            Symbol.S: self.s_arg_perm,
-        }[sym]
-
-    def map_symbol(self, sym: Symbol) -> Symbol:
-        if self.swap_pq and sym in (Symbol.P, Symbol.Q):
-            return Symbol.Q if sym is Symbol.P else Symbol.P
-        if self.swap_ts and sym in (Symbol.T, Symbol.S):
-            return Symbol.S if sym is Symbol.T else Symbol.T
-        return sym
-
-    def apply_term(self, t: Term) -> Term:
-        if isinstance(t, Var):
-            return Var(self.var_perm[t.index])
-        perm = self.arg_perm(t.sym)
-        pattern = tuple(self.var_perm[t.pattern[perm[j]]] for j in range(len(perm)))
-        return app(self.map_symbol(t.sym), pattern)
-
-    def compose(self, other: "SymmetryElement") -> "SymmetryElement":
-        """Element acting as self after other: (self*other)(t) = self(other(t))."""
-        if other.swap_pq:
-            p_inner, q_inner = self.q_arg_perm, self.p_arg_perm
-        else:
-            p_inner, q_inner = self.p_arg_perm, self.q_arg_perm
-        if other.swap_ts:
-            t_inner, s_inner = self.s_arg_perm, self.t_arg_perm
-        else:
-            t_inner, s_inner = self.t_arg_perm, self.s_arg_perm
-        return SymmetryElement(
-            var_perm=_perm_compose(self.var_perm, other.var_perm),
-            p_arg_perm=_perm_compose(other.p_arg_perm, p_inner),
-            q_arg_perm=_perm_compose(other.q_arg_perm, q_inner),
-            t_arg_perm=_perm_compose(other.t_arg_perm, t_inner),
-            s_arg_perm=_perm_compose(other.s_arg_perm, s_inner),
-            swap_pq=self.swap_pq != other.swap_pq,
-            swap_ts=self.swap_ts != other.swap_ts,
-        )
-
-    def inverse(self) -> "SymmetryElement":
-        p_inv = _perm_inverse(self.p_arg_perm)
-        q_inv = _perm_inverse(self.q_arg_perm)
-        if self.swap_pq:
-            p_inv, q_inv = q_inv, p_inv
-        t_inv = _perm_inverse(self.t_arg_perm)
-        s_inv = _perm_inverse(self.s_arg_perm)
-        if self.swap_ts:
-            t_inv, s_inv = s_inv, t_inv
-        return SymmetryElement(
-            var_perm=_perm_inverse(self.var_perm),
-            p_arg_perm=p_inv,
-            q_arg_perm=q_inv,
-            t_arg_perm=t_inv,
-            s_arg_perm=s_inv,
-            swap_pq=self.swap_pq,
-            swap_ts=self.swap_ts,
-        )
-
-
-def apply_symmetry(s: System, g: SymmetryElement) -> System:
-    idents = [Identity(g.apply_term(i.left), g.apply_term(i.right)) for i in s.identities]
-    sig = frozenset(g.map_symbol(sym) for sym in s.signature)
-    return system(idents, num_vars=s.num_vars, signature=sig)
-
-
-def symmetry_group(
-    signature: Iterable[Symbol], num_vars: int
-) -> tuple[SymmetryElement, ...]:
-    """Full group for a signature, in a fixed deterministic order.
-
-    Variable permutations move only declared variables; argument permutations
-    exist per declared symbol; equal-arity symbol pairs may be swapped when
-    both are declared.  Order 2*6*6*2 = 144 for two ternary symbols over two
-    variables.
-    """
-    sig = frozenset(signature)
-    var_perms = [
-        tuple(p) + tuple(range(num_vars, len(VAR_NAMES)))
-        for p in itertools.permutations(range(num_vars))
-    ]
-    p_perms = list(itertools.permutations(range(3))) if Symbol.P in sig else [_ID3]
-    q_perms = list(itertools.permutations(range(3))) if Symbol.Q in sig else [_ID3]
-    t_perms = list(itertools.permutations(range(2))) if Symbol.T in sig else [_ID2]
-    s_perms = list(itertools.permutations(range(2))) if Symbol.S in sig else [_ID2]
-    pq_swaps = [False, True] if {Symbol.P, Symbol.Q} <= sig else [False]
-    ts_swaps = [False, True] if {Symbol.T, Symbol.S} <= sig else [False]
-    return tuple(
-        SymmetryElement(v, p, q, t, s, sw_pq, sw_ts)
-        for v in var_perms
-        for p in p_perms
-        for q in q_perms
-        for t in t_perms
-        for s in s_perms
-        for sw_pq in pq_swaps
-        for sw_ts in ts_swaps
-    )
 
 
 def system_key(s: System) -> tuple:
@@ -635,31 +508,68 @@ def system_key(s: System) -> tuple:
 
 @dataclass(frozen=True)
 class SymmetryTables:
-    """A symmetry group with each element's index permutation of a universe.
+    """A symmetry group as index permutations of a universe.
 
-    perms[k][i] is the universe index of group[k] applied to term i.
+    perms[k][i] is the universe index of the image of term i under element
+    k, and symbol_maps[k] sends each symbol to its image under element k.
     """
 
     universe: TermUniverse
-    group: tuple[SymmetryElement, ...]
     perms: tuple[tuple[int, ...], ...]
+    symbol_maps: tuple[dict[Symbol, Symbol], ...]
+
+
+def _term_image(
+    t: Term,
+    var_perm: Sequence[int],
+    arg_perms: dict[Symbol, Sequence[int]],
+    symbol_map: dict[Symbol, Symbol],
+) -> Term:
+    """Permute the argument positions of t's symbol (pattern[j] becomes
+    pattern[perm[j]]), map the symbol, then rename the variables."""
+    if isinstance(t, Var):
+        return Var(var_perm[t.index])
+    return app(symbol_map[t.sym], [var_perm[t.pattern[j]] for j in arg_perms[t.sym]])
 
 
 @functools.lru_cache(maxsize=None)
 def symmetry_tables(
     signature: frozenset[Symbol], num_vars: int, fixed: frozenset[Symbol]
 ) -> SymmetryTables:
-    """Tables for symmetry_group(signature, num_vars), built on first use.
+    """The symmetry group of signature over num_vars variables, built on
+    first use.
 
-    The universe also covers the symbols in fixed: the group keeps their
+    Elements run, in this nesting order, over the variable permutations,
+    the argument permutations of each symbol in signature, and the p<->q
+    and t<->s swaps of pairs inside signature; the identity comes first.
+    Order 2*6*6*2 = 144 for two ternary symbols over two variables.  The
+    universe also covers the symbols in fixed: the group keeps their
     letters and argument order and only renames their variables.
     """
     universe = term_universe(signature | fixed, num_vars)
-    group = symmetry_group(signature, num_vars)
-    perms = tuple(
-        tuple(universe.index(g.apply_term(t)) for t in universe.terms) for g in group
-    )
-    return SymmetryTables(universe, group, perms)
+
+    def arg_perms(sym: Symbol) -> list[tuple[int, ...]]:
+        ident = tuple(range(sym.arity))
+        return list(itertools.permutations(ident)) if sym in signature else [ident]
+
+    def swaps(a: Symbol, b: Symbol) -> list[dict[Symbol, Symbol]]:
+        return [{}, {a: b, b: a}] if {a, b} <= signature else [{}]
+
+    perms, symbol_maps = [], []
+    for var_perm, *args, pq, ts in itertools.product(
+        itertools.permutations(range(num_vars)),
+        *map(arg_perms, Symbol),
+        swaps(Symbol.P, Symbol.Q),
+        swaps(Symbol.T, Symbol.S),
+    ):
+        arg_map = dict(zip(Symbol, args))
+        symbol_map = {sym: pq.get(sym, ts.get(sym, sym)) for sym in Symbol}
+        perms.append(tuple(
+            universe.index(_term_image(t, var_perm, arg_map, symbol_map))
+            for t in universe.terms
+        ))
+        symbol_maps.append(symbol_map)
+    return SymmetryTables(universe, tuple(perms), tuple(symbol_maps))
 
 
 @functools.lru_cache(maxsize=None)
@@ -720,27 +630,25 @@ def canonical_blocks(
     return tuple(best_key or ()), best_k, moved_blocks
 
 
-def canonicalize(
-    s: System, signature: Optional[Iterable[Symbol]] = None
-) -> tuple[System, SymmetryElement]:
+def canonicalize(s: System, signature: Optional[Iterable[Symbol]] = None) -> System:
     """Lexicographic minimum of the orbit of s under the full symmetry group.
 
     The ambient signature defaults to the system's own; pass the family
-    signature to canonicalise within a larger group.  Returns the canonical
-    form and the first group element mapping s to it.
+    signature to canonicalise within a larger group.  The canonical form
+    keeps s's num_vars, and its signature is the image of s's under the
+    first group element reaching it.
     """
     sig = frozenset(signature) if signature is not None else s.signature
     tables = symmetry_tables(sig, s.num_vars, s.signature - sig)
-    index = tables.universe.index
+    terms, index = tables.universe.terms, tables.universe.index
     blocks = [[index(t) for t in block] for block in s.blocks()]
-    _key, k, _moved = canonical_blocks(blocks, tables.perms)
-    return apply_symmetry(s, tables.group[k]), tables.group[k]
-
-
-def mirror(s: System) -> System:
-    """Swap the variables x and y throughout."""
-    swap = (1, 0) + tuple(range(2, len(VAR_NAMES)))
-    return apply_symmetry(s, SymmetryElement(var_perm=swap))
+    _key, k, moved = canonical_blocks(blocks, tables.perms)
+    symbol_map = tables.symbol_maps[k]
+    return system(
+        _chain_identities([[terms[i] for i in b] for b in moved]),
+        num_vars=s.num_vars,
+        signature=[symbol_map[sym] for sym in s.signature],
+    )
 
 
 # ---------------------------------------------------------------------------

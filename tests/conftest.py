@@ -1,6 +1,6 @@
 import random
 
-from linid.terms import Identity, Symbol, system, term_universe
+from linid.terms import Identity, Symbol, symmetry_tables, system, term_universe
 
 PQ = frozenset((Symbol.P, Symbol.Q))
 
@@ -18,3 +18,23 @@ def random_system(rng: random.Random, signature=PQ, num_vars=2):
     for group in blocks.values():
         idents.extend(Identity(a, b) for a, b in zip(group, group[1:]))
     return system(idents, num_vars=num_vars, signature=signature)
+
+
+def orbit_images(s, signature=None, elements=None):
+    """The images of s under the symmetry group of signature (by default
+    s's own), one per group element in table order, or only those at the
+    positions in elements."""
+    sig = frozenset(signature) if signature is not None else s.signature
+    tables = symmetry_tables(sig, s.num_vars, s.signature - sig)
+    u = tables.universe
+    blocks = [[u.index(t) for t in block] for block in s.blocks()]
+    if elements is None:
+        elements = range(len(tables.perms))
+    for k in elements:
+        perm, symbol_map = tables.perms[k], tables.symbol_maps[k]
+        idents = []
+        for b in blocks:
+            moved = [u.terms[perm[i]] for i in b]
+            idents.extend(Identity(x, y) for x, y in zip(moved, moved[1:]))
+        yield system(idents, num_vars=s.num_vars,
+                     signature=[symbol_map[sym] for sym in s.signature])

@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from linid import reducts
-from linid.cli import build_parser, main
+import linid
+from linid import algebra, cli, reducts
+from linid.cli import (
+    MAX_ALGEBRA_SIZE, MAX_CLONE_CAP, MAX_MODULUS_BOUND, build_parser, main,
+)
 
 S4 = "p(x,x,y)=p(x,y,y); p(x,y,x)=q(x,x,y)=q(x,y,x)=q(y,x,x)"
 
@@ -260,3 +267,59 @@ def test_check_directory_exit_2(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and str(tmp_path) in err
     assert len(err.splitlines()) == 1
+
+
+def refused(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2, argv
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def never(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+def test_modulus_bound_above_its_bound_exit_2(capsys, monkeypatch):
+    code, out, _ = run(capsys, "check", "x=t(x,y)", "--modulus-bound", str(MAX_MODULUS_BOUND))
+    assert code == 0 and json.loads(out)["status"] == "satisfiable"
+    monkeypatch.setattr(cli, "parse_system", never)
+    refused(capsys, "check", S4, "--modulus-bound", str(MAX_MODULUS_BOUND + 1))
+
+
+def test_sizes_a_entry_above_its_bound_exit_2(capsys, monkeypatch):
+    code, out, _ = run(capsys, "check", "x=p(x,y,y)", "--sizes-a", str(MAX_ALGEBRA_SIZE))
+    assert code == 0 and list(json.loads(out)["holds_in_majority_sizes"]) == [str(MAX_ALGEBRA_SIZE)]
+    monkeypatch.setattr(cli, "parse_system", never)
+    refused(capsys, "check", S4, "--sizes-a", f"2,{MAX_ALGEBRA_SIZE + 1}")
+
+
+def test_clone_cap_above_its_bound_exit_2(capsys, monkeypatch):
+    assert run(capsys, "clone", "b", "2", "--cap", str(MAX_CLONE_CAP))[0] == 0
+    monkeypatch.setattr(algebra, "clone_slice", never)
+    refused(capsys, "clone", "b", "2", "--cap", str(MAX_CLONE_CAP + 1))
+
+
+def test_clone_majority_size_above_its_bound_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(algebra, "majority_a", never)
+    refused(capsys, "clone", f"a:{MAX_ALGEBRA_SIZE + 1}", "3")
+
+
+def test_clone_reduct_modulus_above_its_bound_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(algebra, "reduct_algebra", never)
+    refused(capsys, "clone", f"reduct:{MAX_ALGEBRA_SIZE + 1}", "3")
+
+
+def test_output_independent_of_hash_seed():
+    # no set or dict order of terms or symbols may reach the output
+    env = {**os.environ, "PYTHONPATH": str(Path(linid.__file__).parent.parent)}
+    env.pop("LINID_OUTPUT_DIR", None)
+    outputs = []
+    for seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = seed
+        done = subprocess.run(
+            [sys.executable, "-m", "linid.cli", "minimal", "SingleTernary"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]

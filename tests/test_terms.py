@@ -1,6 +1,6 @@
 import random
 
-from conftest import random_system
+from conftest import orbit_images, random_system
 
 import pytest
 
@@ -10,23 +10,21 @@ from linid.terms import (
     Identity,
     ParseError,
     Symbol,
-    SymmetryElement,
     Var,
     app,
-    apply_symmetry,
     bell_number,
     block_mark,
     canonical_blocks,
     canonicalize,
     format_system,
-    mirror,
     parse_system,
     partition_closure,
     partition_from_blocks,
+    rename_term,
     set_partitions,
     substitute_variable,
-    symmetry_group,
     symmetry_tables,
+    system,
     system_from_partition,
     system_key,
     term_key,
@@ -135,8 +133,7 @@ def test_universe_14_terms_sorted_and_mirror_closed():
     assert len(u) == 14
     keys = [term_key(t) for t in u.terms]
     assert keys == sorted(keys)
-    swap = SymmetryElement(var_perm=(1, 0, 2))
-    mirrored = {swap.apply_term(t) for t in u.terms}
+    mirrored = {rename_term(t, (1, 0, 2)) for t in u.terms}
     assert mirrored == set(u.terms)
 
 
@@ -201,90 +198,92 @@ def test_substitute_requires_declared_variable():
         substitute_variable(parse_system("t(x,y)=x"), 2, 0)
 
 
-def test_symmetry_group_sizes():
-    assert len(symmetry_group(PQ, 2)) == 144
-    assert len(symmetry_group(PQ, 3)) == 432
-    assert len(symmetry_group(frozenset((Symbol.T,)), 2)) == 4
-    assert len(symmetry_group(frozenset((Symbol.T, Symbol.S)), 2)) == 16
-    assert len(symmetry_group(frozenset((Symbol.P, Symbol.T)), 2)) == 24
-
-
 def test_symmetry_group_laws():
-    grp = symmetry_group(PQ, 2)
-    u = term_universe(PQ, 2)
-    rng = random.Random(7)
-    for _ in range(200):
-        g, h = rng.choice(grp), rng.choice(grp)
-        t = rng.choice(u.terms)
-        assert g.compose(h).apply_term(t) == g.apply_term(h.apply_term(t))
-        assert g.inverse().apply_term(g.apply_term(t)) == t
-        assert SymmetryElement().apply_term(t) == t
-
-
-def test_apply_symmetry_group_action_on_systems():
-    grp = symmetry_group(PQ, 2)
-    s = parse_system(S4)
-    rng = random.Random(11)
-    for _ in range(60):
-        g, h = rng.choice(grp), rng.choice(grp)
-        assert apply_symmetry(apply_symmetry(s, h), g) == apply_symmetry(s, g.compose(h))
-    assert apply_symmetry(s, SymmetryElement()) == s
+    # each group's index permutations form a group of the expected order,
+    # with the identity first; closure is what makes orbit marking lossless
+    cases = [(family.signature, 2) for family in Family] + [(PQ, 3)]
+    orders = []
+    for sig, nv in cases:
+        perms = symmetry_tables(sig, nv, frozenset()).perms
+        indices = tuple(range(len(perms[0])))
+        assert perms[0] == indices
+        assert all(tuple(sorted(perm)) == indices for perm in perms)
+        # as bytes, g.translate(f's table) is the composite f after g
+        elements = {bytes(perm) for perm in perms}
+        assert len(elements) == len(perms)
+        for f in perms:
+            table = bytes(f).ljust(256, b"\0")
+            assert all(g.translate(table) in elements for g in elements)
+        orders.append(len(perms))
+    assert dict(zip(cases, orders)) == {
+        (PQ, 2): 144,
+        (frozenset((Symbol.P,)), 2): 12,
+        (frozenset((Symbol.P, Symbol.T)), 2): 24,
+        (frozenset((Symbol.T,)), 2): 4,
+        (frozenset((Symbol.T, Symbol.S)), 2): 16,
+        (PQ, 3): 432,
+    }
 
 
 def test_argument_permutation_fixes_system_4():
     # permuting the arguments of q cyclically rewrites the chain but generates
     # the same equivalence, so the system is a fixed point of the action
-    s = parse_system(S4)
-    g = SymmetryElement(q_arg_perm=(2, 0, 1))
-    assert apply_symmetry(s, g) == s
-    h = SymmetryElement(q_arg_perm=(1, 2, 0))
-    assert apply_symmetry(s, h) == s
-
-
-def test_mirror_is_involution_and_mirrors_closure():
-    u = term_universe(PQ, 2)
-    s = parse_system(S4)
-    assert mirror(mirror(s)) == s
-    swap = SymmetryElement(var_perm=(1, 0, 2))
-    left = partition_closure(s, u)
-    right = partition_closure(mirror(s), u)
-    mapped = {
-        frozenset(u.index(swap.apply_term(t)) for t in block)
-        for block in left.term_blocks()
-    }
-    assert mapped == {frozenset(b) for b in right.blocks}
-
-
+    tables = symmetry_tables(PQ, 2, frozenset())
+    u = tables.universe
+    closure = partition_closure(parse_system(S4), u)
+    for cycle in ((2, 0, 1), (1, 2, 0)):
+        perm = tuple(
+            u.index(app(t.sym, [t.pattern[j] for j in cycle]))
+            if isinstance(t, App) and t.sym is Symbol.Q else i
+            for i, t in enumerate(u.terms)
+        )
+        assert perm in tables.perms
+        moved = [[perm[i] for i in b] for b in closure.nontrivial_blocks()]
+        assert partition_from_blocks(u, moved) == closure
 
 
 def test_canonicalize_constant_on_orbits():
     # exhaustive: generate the whole 144-element orbit of each sample
     rng = random.Random(2024)
-    grp = symmetry_group(PQ, 2)
     for _ in range(100):
         s = random_system(rng)
-        canon, witness_g = canonicalize(s, PQ)
-        assert apply_symmetry(s, witness_g) == canon
-        orbit = {apply_symmetry(s, g) for g in grp}
+        canon = canonicalize(s, PQ)
+        orbit = set(orbit_images(s, PQ))
         assert canon in orbit
         for member in orbit:
-            assert canonicalize(member, PQ)[0] == canon
+            assert canonicalize(member, PQ) == canon
 
 
 def test_canonicalize_is_first_orbit_minimum():
-    # reference: apply every group element, keep the first least image
+    # reference: map s by every group element, keep the first least image
     rng = random.Random(9)
     P, PT = frozenset((Symbol.P,)), frozenset((Symbol.P, Symbol.T))
     cases = [(PQ, PQ, 2)] * 20 + [(PQ, PQ, 3)] * 6 + [(PT, PT, 2)] * 8 + [(PT, P, 2)] * 4
     for sig, ambient, nv in cases:
         s = random_system(rng, sig, nv)
-        grp = symmetry_group(ambient, nv)
-        images = [apply_symmetry(s, g) for g in grp]
-        best = min(images, key=system_key)
-        first = next(g for g, im in zip(grp, images) if system_key(im) == system_key(best))
-        assert canonicalize(s, ambient) == (best, first)
-        if ambient == sig:
-            assert canonicalize(s) == (best, first)
+        best = min(orbit_images(s, ambient), key=system_key)
+        canons = [canonicalize(s, ambient)] + ([canonicalize(s)] if ambient == sig else [])
+        for canon in canons:
+            assert canon == best
+            assert (canon.signature, canon.num_vars) == (best.signature, best.num_vars)
+
+
+def test_canonicalize_keeps_num_vars_and_maps_signature():
+    # the signature is the image of the system's own; a symbol outside the
+    # ambient signature keeps its letter and argument order
+    three_vars = system(parse_system("q(x,y,y)=x").identities, num_vars=3, signature=PQ)
+    cases = [
+        (parse_system("x=q(x,y,x)"), PQ, "x=p(x,x,y)", "p", 2),
+        (parse_system("q(x,x,y)=t(y,x)"), PQ, "p(x,x,y)=t(y,x)", "pt", 2),
+        (parse_system("x=s(x,y)"), None, "x=s(x,y)", "s", 2),
+        (three_vars, PQ, "x=p(x,y,y)", "pq", 3),
+        (three_vars, None, "x=p(x,y,y)", "pq", 3),
+    ]
+    for s, ambient, text, letters, nv in cases:
+        canon = canonicalize(s, ambient)
+        assert format_system(canon) == text
+        assert canon.signature == {Symbol(c) for c in letters}
+        assert canon.num_vars == nv
 
 
 def _random_raw_blocks(rng, size):
@@ -317,17 +316,17 @@ def test_canonical_blocks_marks_every_image_once(family):
 
 def test_canonicalize_idempotent():
     for text in (S4, S5, S7, ""):
-        c, _ = canonicalize(parse_system(text), PQ)
-        assert canonicalize(c, PQ)[0] == c
+        c = canonicalize(parse_system(text), PQ)
+        assert canonicalize(c, PQ) == c
 
 
 def test_canonicalize_identifies_argument_permuted_variants():
     # permuting the arguments of q yields an equivalent system
     subset1 = parse_system("p(x,x,y)=p(x,y,y); p(x,y,x)=q(y,x,x)=q(x,y,x)=q(x,x,y)")
-    assert canonicalize(parse_system(S4))[0] == canonicalize(subset1)[0]
+    assert canonicalize(parse_system(S4)) == canonicalize(subset1)
     # swapping the roles of p and q too
     swapped = parse_system("q(x,x,y)=q(x,y,y); q(x,y,x)=p(x,x,y)=p(x,y,x)=p(y,x,x)")
-    assert canonicalize(parse_system(S4))[0] == canonicalize(swapped)[0]
+    assert canonicalize(parse_system(S4)) == canonicalize(swapped)
 
 
 def test_set_partitions_counts():
