@@ -198,11 +198,23 @@ def test_substitute_requires_declared_variable():
         substitute_variable(parse_system("t(x,y)=x"), 2, 0)
 
 
+def test_symmetry_group_sizes():
+    orders = {
+        (PQ, 2): 144,
+        (PQ, 3): 432,
+        (frozenset((Symbol.P,)), 2): 12,
+        (frozenset((Symbol.T,)), 2): 4,
+        (frozenset((Symbol.T, Symbol.S)), 2): 16,
+        (frozenset((Symbol.P, Symbol.T)), 2): 24,
+    }
+    for (sig, nv), order in orders.items():
+        assert len(symmetry_tables(sig, nv, frozenset()).perms) == order
+
+
 def test_symmetry_group_laws():
-    # each group's index permutations form a group of the expected order,
-    # with the identity first; closure is what makes orbit marking lossless
+    # each group's index permutations form a group, with the identity first;
+    # closure is what makes orbit marking lossless
     cases = [(family.signature, 2) for family in Family] + [(PQ, 3)]
-    orders = []
     for sig, nv in cases:
         perms = symmetry_tables(sig, nv, frozenset()).perms
         indices = tuple(range(len(perms[0])))
@@ -214,15 +226,25 @@ def test_symmetry_group_laws():
         for f in perms:
             table = bytes(f).ljust(256, b"\0")
             assert all(g.translate(table) in elements for g in elements)
-        orders.append(len(perms))
-    assert dict(zip(cases, orders)) == {
-        (PQ, 2): 144,
-        (frozenset((Symbol.P,)), 2): 12,
-        (frozenset((Symbol.P, Symbol.T)), 2): 24,
-        (frozenset((Symbol.T,)), 2): 4,
-        (frozenset((Symbol.T, Symbol.S)), 2): 16,
-        (PQ, 3): 432,
-    }
+
+
+def test_apply_symmetry_group_action_on_systems():
+    # mapping a system's closure by h and then by g is mapping it by g after h
+    tables = symmetry_tables(PQ, 2, frozenset())
+    u, perms = tables.universe, tables.perms
+    closure = partition_closure(parse_system(S4), u)
+
+    def act(perm, part):
+        moved = [[perm[i] for i in b] for b in part.nontrivial_blocks()]
+        return partition_from_blocks(u, moved)
+
+    rng = random.Random(11)
+    for _ in range(60):
+        g, h = rng.choice(perms), rng.choice(perms)
+        gh = tuple(g[i] for i in h)
+        assert gh in perms
+        assert act(g, act(h, closure)) == act(gh, closure)
+    assert act(perms[0], closure) == closure
 
 
 def test_argument_permutation_fixes_system_4():
