@@ -15,8 +15,9 @@ neither loses a class:
   of a block B onto those of g(B), so both blocks reach the same orbits.
 - Orbit marking.  Canonicalising a raw partition marks all its images under
   the group; a marked partition is skipped.  Its images lie in its orbit, so
-  they share its canonical form.  The kernel computes each image once: the
-  same moved blocks give the image's chain-pair key and its mark.
+  they share its canonical form.  An image's mark is one integer that also
+  ranks it (terms.canonical_blocks), the sum of one value per block; each
+  distinct block's values under the whole group are computed once per call.
 
 Each run decides each ring system once.  A memo made per verify_paper call
 (or per minimal_candidates call on its own) holds the ring verdict of every
@@ -153,6 +154,7 @@ def enumerate_family(family: Family) -> tuple[System, ...]:
     universe, perms = tables.universe, tables.perms
     size = len(universe)
     marked: set[int] = set()
+    rows: dict[tuple[int, ...], list[int]] = {}
     canon: dict[tuple, tuple[tuple[int, ...], ...]] = {}
     x_index = universe.index(Var(0))
     for xblock in _xblock_orbit_representatives(family, perms, x_index):
@@ -160,7 +162,7 @@ def enumerate_family(family: Family) -> tuple[System, ...]:
             raw = [p for p in parts if len(p) > 1]
             if block_mark(raw, size) in marked:
                 continue
-            key, _k, blocks = canonical_blocks(raw, perms, marked)
+            key, _k, blocks = canonical_blocks(raw, tables, marked, rows)
             canon[key] = blocks
     return tuple(
         _system_from_index_blocks(universe, canon[key]) for key in sorted(canon)

@@ -511,11 +511,13 @@ class SymmetryTables:
     """A symmetry group as index permutations of a universe.
 
     perms[k][i] is the universe index of the image of term i under element
-    k, and symbol_maps[k] sends each symbol to its image under element k.
+    k, columns[i][k] the same index read by term, and symbol_maps[k] sends
+    each symbol to its image under element k.
     """
 
     universe: TermUniverse
     perms: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
     symbol_maps: tuple[dict[Symbol, Symbol], ...]
 
 
@@ -545,89 +547,135 @@ def symmetry_tables(
     Order 2*6*6*2 = 144 for two ternary symbols over two variables.  The
     universe also covers the symbols in fixed: the group keeps their
     letters and argument order and only renames their variables.
+
+    Each factor is one index table, and an element is the composite
+    var[swap[args[i]]]: its argument permutations act first, on the
+    original symbols, then the swaps, then the variable renaming.
     """
     universe = term_universe(signature | fixed, num_vars)
+    no_args = {sym: tuple(range(sym.arity)) for sym in Symbol}
+    no_swap = {sym: sym for sym in Symbol}
 
-    def arg_perms(sym: Symbol) -> list[tuple[int, ...]]:
-        ident = tuple(range(sym.arity))
-        return list(itertools.permutations(ident)) if sym in signature else [ident]
+    def table(var_perm=tuple(range(num_vars)), arg_perms=no_args, symbol_map=no_swap):
+        return tuple(
+            universe.index(_term_image(t, var_perm, arg_perms, symbol_map))
+            for t in universe.terms
+        )
+
+    def arg_tables(sym: Symbol) -> list[tuple[int, ...]]:
+        if sym not in signature:
+            return [table()]
+        return [
+            table(arg_perms={**no_args, sym: perm})
+            for perm in itertools.permutations(range(sym.arity))
+        ]
 
     def swaps(a: Symbol, b: Symbol) -> list[dict[Symbol, Symbol]]:
         return [{}, {a: b, b: a}] if {a, b} <= signature else [{}]
 
+    var_tables = [table(var_perm=p) for p in itertools.permutations(range(num_vars))]
+    # each symbol's tables move only its own terms, so they compose in any order
+    args_tables = [
+        tuple(functools.reduce(lambda acc, t: [t[i] for i in acc], parts))
+        for parts in itertools.product(*map(arg_tables, Symbol))
+    ]
+    swap_maps = [
+        {sym: pq.get(sym, ts.get(sym, sym)) for sym in Symbol}
+        for pq, ts in itertools.product(swaps(Symbol.P, Symbol.Q), swaps(Symbol.T, Symbol.S))
+    ]
+    swap_tables = [(table(symbol_map=m), m) for m in swap_maps]
+
     perms, symbol_maps = [], []
-    for var_perm, *args, pq, ts in itertools.product(
-        itertools.permutations(range(num_vars)),
-        *map(arg_perms, Symbol),
-        swaps(Symbol.P, Symbol.Q),
-        swaps(Symbol.T, Symbol.S),
+    for var, args, (swap, symbol_map) in itertools.product(
+        var_tables, args_tables, swap_tables
     ):
-        arg_map = dict(zip(Symbol, args))
-        symbol_map = {sym: pq.get(sym, ts.get(sym, sym)) for sym in Symbol}
-        perms.append(tuple(
-            universe.index(_term_image(t, var_perm, arg_map, symbol_map))
-            for t in universe.terms
-        ))
+        perms.append(tuple([var[swap[i]] for i in args]))
         symbol_maps.append(symbol_map)
-    return SymmetryTables(universe, tuple(perms), tuple(symbol_maps))
+    perms = tuple(perms)
+    return SymmetryTables(universe, perms, tuple(zip(*perms)), tuple(symbol_maps))
 
 
 @functools.lru_cache(maxsize=None)
-def _mark_weights(size: int) -> tuple[int, ...]:
+def _pair_weights(size: int) -> tuple[tuple[int, ...], ...]:
+    """weights[a][b] = (size - b) << (width * (size - 1 - a)) for a < b."""
     width = size.bit_length()
-    return tuple(1 << (width * i) for i in range(size))
+    return tuple(
+        tuple((size - b) << (width * (size - 1 - a)) for b in range(size))
+        for a in range(size)
+    )
 
 
 def block_mark(blocks: Iterable[Sequence[int]], size: int) -> int:
     """One integer naming a set of disjoint blocks of indices below size.
 
-    Index i holds, in its own digit of size.bit_length() bits, the least
-    index of its block plus one; indices outside every block hold 0.  The
-    digits determine the blocks.
+    Index a holds, in its own digit of size.bit_length() bits with index 0
+    the most significant, size - b when b is the next index after a in a's
+    sorted block, and 0 when a is the last of its block or in no block.  The
+    digits give each index's successor, so they determine every block of
+    two or more indices; a block of one index adds nothing.  This is also the
+    value canonical_blocks ranks images by.
     """
-    weights = _mark_weights(size)
-    mark = 0
-    for b in blocks:
-        label = min(b) + 1
-        for i in b:
-            mark += label * weights[i]
-    return mark
+    weights = _pair_weights(size)
+    return sum([
+        weights[a][b] for block in blocks for a, b in itertools.pairwise(sorted(block))
+    ])
+
+
+def _block_row(block: Sequence[int], tables: SymmetryTables) -> list[int]:
+    """block_mark of the image of one block under every element, in order."""
+    weights = _pair_weights(len(tables.columns))
+    images = zip(*[tables.columns[i] for i in block])
+    if len(block) == 2:
+        return [weights[a][b] if a < b else weights[b][a] for a, b in images]
+    return [
+        sum([weights[a][b] for a, b in itertools.pairwise(sorted(image))])
+        for image in images
+    ]
 
 
 def canonical_blocks(
     blocks: Sequence[Sequence[int]],
-    perms: Sequence[Sequence[int]],
+    tables: SymmetryTables,
     marks: Optional[set[int]] = None,
+    rows: Optional[dict[tuple[int, ...], list[int]]] = None,
 ) -> tuple[tuple[tuple[int, int], ...], int, tuple[tuple[int, ...], ...]]:
-    """Least image of index blocks under a list of index permutations.
+    """Least image of index blocks under the elements of tables.
 
     An image is ranked by its chain-pair key: the sorted consecutive pairs of
     its sorted blocks.  Bijections carry closure blocks to closure blocks, so
     the key needs no re-normalising, and universes list terms in term order,
     so on indices it orders images as system_key does.  Returns the least key,
-    the position of the first permutation reaching it, and the moved blocks,
-    sorted.  If marks is given, the block_mark of every image is added to it,
-    from the same moved blocks that give the key.
+    the position of the first element reaching it, and the moved blocks,
+    sorted.  If marks is given, the block_mark of every image is added to it.
+
+    Images are compared by their block_mark instead.  A key lists its pairs
+    (a, b) by a, which is distinct across pairs; the mark holds size - b in
+    a's digit, most significant first.  At the first pair where two keys of
+    the same length differ, the smaller key has the smaller a (a digit where
+    the other has 0) or, at the same a, the smaller b (the larger digit), so
+    its mark is larger.  All images of the blocks have the same number of
+    pairs, so the first largest mark belongs to the first least key.  A mark
+    is the sum of one value per block; rows maps each block to its values
+    under every element (filled here, and reusable across calls with the
+    same tables).
     """
-    weights = None if marks is None else _mark_weights(len(perms[0]))
-    best_key: Optional[list] = None
-    best_k = 0
-    for k, perm in enumerate(perms):
-        key = []
-        mark = 0
-        for b in blocks:
-            moved = sorted([perm[i] for i in b])
-            key.extend(zip(moved, moved[1:]))
-            if weights is not None:
-                mark += (moved[0] + 1) * sum([weights[i] for i in moved])
-        if weights is not None:
-            marks.add(mark)
-        key.sort()
-        if best_key is None or key < best_key:
-            best_key, best_k = key, k
-    perm = perms[best_k]
+    if rows is None:
+        rows = {}
+    block_rows = []
+    for b in blocks:
+        b = tuple(b)
+        row = rows.get(b)
+        if row is None:
+            row = rows[b] = _block_row(b, tables)
+        block_rows.append(row)
+    values = list(map(sum, zip(*block_rows))) or [0] * len(tables.perms)
+    if marks is not None:
+        marks.update(values)
+    k = values.index(max(values))
+    perm = tables.perms[k]
     moved_blocks = tuple(sorted(tuple(sorted(perm[i] for i in b)) for b in blocks))
-    return tuple(best_key or ()), best_k, moved_blocks
+    key = tuple(sorted(pair for b in moved_blocks for pair in itertools.pairwise(b)))
+    return key, k, moved_blocks
 
 
 def canonicalize(s: System, signature: Optional[Iterable[Symbol]] = None) -> System:
@@ -642,7 +690,7 @@ def canonicalize(s: System, signature: Optional[Iterable[Symbol]] = None) -> Sys
     tables = symmetry_tables(sig, s.num_vars, s.signature - sig)
     terms, index = tables.universe.terms, tables.universe.index
     blocks = [[index(t) for t in block] for block in s.blocks()]
-    _key, k, moved = canonical_blocks(blocks, tables.perms)
+    _key, k, moved = canonical_blocks(blocks, tables)
     symbol_map = tables.symbol_maps[k]
     return system(
         _chain_identities([[terms[i] for i in b] for b in moved]),

@@ -5,7 +5,7 @@ from conftest import orbit_images
 
 import pytest
 
-from linid import classify, reducts
+from linid import classify, reducts, terms
 from linid.classify import (
     Family,
     ManifestError,
@@ -124,12 +124,25 @@ def test_two_ternary_enumeration_canonicalises_each_class_once(monkeypatch):
     calls = []
     kernel = classify.canonical_blocks
 
-    def counting(blocks, perms, marks=None):
+    def counting(blocks, tables, marks=None, rows=None):
         calls.append(blocks)
-        return kernel(blocks, perms, marks)
+        return kernel(blocks, tables, marks, rows)
+
+    built = []
+    row_builder = terms._block_row
+
+    def counting_rows(block, tables):
+        built.append(block)
+        return row_builder(block, tables)
 
     monkeypatch.setattr(classify, "canonical_blocks", counting)
+    monkeypatch.setattr(terms, "_block_row", counting_rows)
     assert len(enumerate_family(Family.TWO_TERNARY)) == len(calls) == 329
+    # one row per distinct block in the call, and a fresh call builds them again
+    distinct = {tuple(b) for blocks in calls for b in blocks}
+    assert sorted(built) == sorted(distinct)
+    enumerate_family(Family.TWO_TERNARY)
+    assert len(built) == 2 * len(distinct)
 
 
 def test_ring_decision_diagonalises_each_column_suffix_once(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from conftest import orbit_images, random_system
@@ -11,6 +12,7 @@ from linid.terms import (
     ParseError,
     Symbol,
     Var,
+    _term_image,
     app,
     bell_number,
     block_mark,
@@ -309,12 +311,69 @@ def test_canonicalize_keeps_num_vars_and_maps_signature():
 
 
 def _random_raw_blocks(rng, size):
-    """Disjoint index blocks of two or more indices below size."""
+    """Disjoint index blocks of two or more indices below size, maybe none."""
     chosen = rng.sample(range(size), rng.randint(0, size))
     blocks = {}
     for i in chosen:
         blocks.setdefault(rng.randrange(max(1, len(chosen) // 2)), []).append(i)
     return [b for b in blocks.values() if len(b) > 1]
+
+
+def _list_key_canonical_blocks(blocks, perms):
+    """Reference kernel: rank every image by its chain-pair key as a list."""
+    best_key, best_k = None, 0
+    for k, perm in enumerate(perms):
+        key = []
+        for b in blocks:
+            moved = sorted([perm[i] for i in b])
+            key.extend(zip(moved, moved[1:]))
+        key.sort()
+        if best_key is None or key < best_key:
+            best_key, best_k = key, k
+    perm = perms[best_k]
+    moved_blocks = tuple(sorted(tuple(sorted(perm[i] for i in b)) for b in blocks))
+    return tuple(best_key or ()), best_k, moved_blocks
+
+
+def _kernel_universes():
+    four = frozenset(Symbol)
+    return [(f.signature, 2) for f in Family] + [(PQ, 3), (four, 3)]
+
+
+@pytest.mark.parametrize(
+    "sig, nv", _kernel_universes(),
+    ids=lambda v: "".join(sorted(x.value for x in v)) if isinstance(v, frozenset) else str(v),
+)
+def test_canonical_blocks_matches_list_key_reference(sig, nv):
+    # the integer ranking picks the same key, element and moved blocks as
+    # ranking chain-pair lists, with no blocks, one block or several
+    rng = random.Random(f"kernel {sorted(x.value for x in sig)} {nv}")
+    tables = symmetry_tables(sig, nv, frozenset())
+    size = len(tables.universe)
+    draws = [[]] + [_random_raw_blocks(rng, size) for _ in range(40 if nv == 2 else 12)]
+    rows = {}
+    for raw in draws:
+        expected = _list_key_canonical_blocks(raw, tables.perms)
+        assert canonical_blocks(raw, tables) == expected
+        assert canonical_blocks(raw, tables, rows=rows) == expected
+
+
+def test_block_mark_reverses_chain_pair_order():
+    # for equal pair counts a larger mark is a smaller chain-pair key, and a
+    # mark names its blocks
+    rng = random.Random("mark order")
+    for size in (4, 7, 14, 27):
+        by_pairs = {}
+        for _ in range(300):
+            raw = _random_raw_blocks(rng, size)
+            key = sorted(p for b in raw for p in zip(sorted(b), sorted(b)[1:]))
+            named = frozenset(frozenset(b) for b in raw)
+            by_pairs.setdefault(len(key), []).append((key, block_mark(raw, size), named))
+        for draws in by_pairs.values():
+            for key1, mark1, named1 in draws:
+                for key2, mark2, named2 in draws:
+                    assert (key1 < key2) == (mark1 > mark2)
+                    assert (mark1 == mark2) == (named1 == named2)
 
 
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
@@ -327,13 +386,61 @@ def test_canonical_blocks_marks_every_image_once(family):
     for _ in range(60):
         raw = _random_raw_blocks(rng, size)
         marks = set()
-        assert canonical_blocks(raw, perms, marks) == canonical_blocks(raw, perms)
+        assert canonical_blocks(raw, tables, marks) == canonical_blocks(raw, tables)
         assert marks == {
             block_mark([[perm[i] for i in b] for b in raw], size) for perm in perms
         }
         # a mark names its blocks
         named = frozenset(frozenset(b) for b in raw)
         assert seen.setdefault(block_mark(raw, size), named) == named
+
+
+def _reference_tables(signature, num_vars, fixed):
+    """Each element's index permutation and symbol map, term by term."""
+    universe = term_universe(signature | fixed, num_vars)
+
+    def arg_perms(sym):
+        ident = tuple(range(sym.arity))
+        return list(itertools.permutations(ident)) if sym in signature else [ident]
+
+    def swaps(a, b):
+        return [{}, {a: b, b: a}] if {a, b} <= signature else [{}]
+
+    perms, symbol_maps = [], []
+    for var_perm, *args, pq, ts in itertools.product(
+        itertools.permutations(range(num_vars)),
+        *map(arg_perms, Symbol),
+        swaps(Symbol.P, Symbol.Q),
+        swaps(Symbol.T, Symbol.S),
+    ):
+        arg_map = dict(zip(Symbol, args))
+        symbol_map = {sym: pq.get(sym, ts.get(sym, sym)) for sym in Symbol}
+        perms.append(tuple(
+            universe.index(_term_image(t, var_perm, arg_map, symbol_map))
+            for t in universe.terms
+        ))
+        symbol_maps.append(symbol_map)
+    return universe, tuple(perms), symbol_maps
+
+
+def test_symmetry_tables_compose_to_term_images():
+    # every signature, fixed set and variable count: the composed factor
+    # tables equal mapping each term by each element
+    for r in range(1, 5):
+        for sig in map(frozenset, itertools.combinations(Symbol, r)):
+            rest = [sym for sym in Symbol if sym not in sig]
+            fixed_sets = [
+                frozenset(c) for k in range(len(rest) + 1)
+                for c in itertools.combinations(rest, k)
+            ]
+            for fixed in fixed_sets:
+                for nv in (2, 3):
+                    tables = symmetry_tables(sig, nv, fixed)
+                    universe, perms, symbol_maps = _reference_tables(sig, nv, fixed)
+                    assert tables.universe == universe
+                    assert tables.perms == perms
+                    assert list(tables.symbol_maps) == symbol_maps
+                    assert tables.columns == tuple(zip(*perms))
 
 
 def test_canonicalize_idempotent():
