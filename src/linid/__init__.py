@@ -6,7 +6,6 @@ from .terms import (
     App,
     Identity,
     ParseError,
-    Partition,
     Symbol,
     System,
     TermUniverse,
@@ -14,9 +13,8 @@ from .terms import (
     canonicalize,
     format_system,
     parse_system,
-    partition_closure,
-    substitute_variable,
     system,
+    system_from_blocks,
     term_universe,
     weakenings,
 )
@@ -26,7 +24,6 @@ from .algebra import (
     FiniteAlgebra,
     OperationTable,
     SatVerdict,
-    check_wnu_bridge,
     clone_slice,
     holds_in,
     induced_partition,
@@ -43,7 +40,6 @@ from .reducts import (
     parse_affine,
     solve_mod,
     solve_some_finite_ring,
-    substitution_lemma_check,
     verify_witness,
 )
 from .classify import (

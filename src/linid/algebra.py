@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import reducts
-from .terms import App, Partition, Symbol, System, Term, TermUniverse, Var
+from .terms import App, Symbol, System, Term, TermUniverse, Var, system_from_blocks
 
 
 @dataclass(frozen=True)
@@ -312,10 +312,10 @@ def minor_table(algebra: FiniteAlgebra, arity: int, num_vars: int, cap: int) -> 
 def holds_in(s: System, algebra: FiniteAlgebra, cap: int = 4096) -> SatVerdict:
     """Search the clone slices for term operations satisfying every identity.
 
-    Deterministic: the reported witness is minimal in slice order (projections
-    first, then table order), taking symbols in canonical order.  Every
-    comparison reads the minor tables of the slices; no operation is
-    evaluated here.
+    Deterministic: one backtracking search, over the symbols in canonical
+    order whatever their number, reports the lexicographically first witness
+    in slice order (projections first, then table order).  Every comparison
+    reads the minor tables of the slices; no operation is evaluated here.
     """
     symbols = tuple(sorted(s.signature, key=lambda sy: sy.order))
     num_vars = s.num_vars
@@ -366,50 +366,26 @@ def holds_in(s: System, algebra: FiniteAlgebra, cap: int = 4096) -> SatVerdict:
     }
     witness: dict[Symbol, int] = {}
 
-    if len(symbols) <= 1:
-        for sym in symbols:
-            witness[sym] = candidates[sym][0]
-    elif len(symbols) == 2:
-        a, b = symbols
-        pairs = links.get((a, b), [])
-        rows_a, rows_b = tables[a].rows, tables[b].rows
-        buckets: dict[tuple, int] = {}
-        for k in reversed(candidates[b]):
-            row = rows_b[k]
-            buckets[tuple(row[j] for _i, j in pairs)] = k
-        for k in candidates[a]:
-            row = rows_a[k]
-            mate = buckets.get(tuple(row[i] for i, _j in pairs))
-            if mate is not None:
-                witness[a] = k
-                witness[b] = mate
-                break
-        else:
-            return SatVerdict(False, None)
-    else:
-        order = list(symbols)
+    def rec(k: int) -> bool:
+        if k == len(symbols):
+            return True
+        sym = symbols[k]
+        rows = tables[sym].rows
+        # each identity with an earlier symbol fixes one minor of sym
+        checks = []
+        for other in symbols[:k]:
+            other_row = tables[other].rows[witness[other]]
+            checks += [(j, other_row[i]) for i, j in links.get((other, sym), ())]
+        for c in candidates[sym]:
+            row = rows[c]
+            if all(row[j] == v for j, v in checks):
+                witness[sym] = c
+                if rec(k + 1):
+                    return True
+        return False
 
-        def rec(k: int) -> bool:
-            if k == len(order):
-                return True
-            sym = order[k]
-            rows = tables[sym].rows
-            # each identity with an earlier symbol fixes one minor of sym
-            checks = []
-            for other in order[:k]:
-                other_row = tables[other].rows[witness[other]]
-                checks += [(j, other_row[i]) for i, j in links.get((other, sym), ())]
-            for c in candidates[sym]:
-                row = rows[c]
-                if all(row[j] == v for j, v in checks):
-                    witness[sym] = c
-                    if rec(k + 1):
-                        return True
-            return False
-
-        if not rec(0):
-            return SatVerdict(False, None)
-
+    if not rec(0):
+        return SatVerdict(False, None)
     return SatVerdict(True, tuple((sym, tables[sym].ops[witness[sym]]) for sym in symbols))
 
 
@@ -417,34 +393,13 @@ def induced_partition(
     witness: Mapping[Symbol, OperationTable],
     universe: TermUniverse,
     algebra: FiniteAlgebra,
-) -> Partition:
-    """Group universe terms by pointwise-equal evaluation under the witness."""
+) -> System:
+    """The closure grouping universe terms by value vector under the witness."""
     assignments = list(
         itertools.product(range(algebra.size), repeat=universe.num_vars)
     )
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, t in enumerate(universe.terms):
+    groups: dict[tuple[int, ...], list[Term]] = {}
+    for t in universe.terms:
         op = witness[t.sym] if isinstance(t, App) else None
-        vec = eval_vector(t, assignments, op)
-        groups.setdefault(vec, []).append(i)
-    return Partition(universe, tuple(tuple(g) for g in groups.values()))
-
-
-def check_wnu_bridge(algebra: FiniteAlgebra) -> bool:
-    """For the majority algebra: g(x,y,w,z) = f(x,y,f(x,w,z)) is a 4-ary weak
-    near-unanimity operation with g(y,x,x,x) = f(y,x,x)."""
-    f = algebra.ops[0]
-    m = algebra.size
-
-    def g(x: int, y: int, w: int, z: int) -> int:
-        return f.apply((x, y, f.apply((x, w, z))))
-
-    if any(g(a, a, a, a) != a for a in range(m)):
-        return False
-    for a, b in itertools.product(range(m), repeat=2):
-        one_off = (g(b, a, a, a), g(a, b, a, a), g(a, a, b, a), g(a, a, a, b))
-        if len(set(one_off)) != 1:
-            return False
-        if one_off[0] != f.apply((b, a, a)):
-            return False
-    return True
+        groups.setdefault(eval_vector(t, assignments, op), []).append(t)
+    return system_from_blocks(groups.values(), universe.num_vars, universe.signature)

@@ -1,11 +1,12 @@
 """Symmetry-reduced enumeration and classification of identity systems.
 
-A two-variable system can hold in the majority algebra only if its closure
-partition refines one of the partitions induced by assigning each symbol a
-witness type (a projection or, for ternary symbols, the majority class; all
-majority operations agree on two-variable argument patterns).  Enumeration
-therefore walks the partitions of the block containing x in each master
-partition, mirrors being implied by renaming x and y.
+Closures are Systems.  A two-variable system can hold in the majority
+algebra only if its closure refines a master closure: the one induced by
+assigning each symbol a witness type (a projection or, for ternary symbols,
+the majority class; all majority operations agree on two-variable argument
+patterns).  Enumeration therefore walks the set partitions of the block
+containing x in each master closure, mirrors being implied by renaming x and
+y.
 
 Two symmetry reductions make the walk canonicalise each orbit once, and
 neither loses a class:
@@ -30,25 +31,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import algebra as alg
 from . import reducts
 from .terms import (
-    Partition,
     Symbol,
+    SymmetryTables,
     System,
     TermUniverse,
     Var,
     block_mark,
     canonical_blocks,
     canonicalize,
-    partition_closure,
-    partition_from_blocks,
     set_partitions,
     symmetry_tables,
-    system_from_partition,
-    system_key,
+    system,
+    system_from_blocks,
     term_universe,
     weakenings,
 )
@@ -105,8 +104,8 @@ def _witness_op(sym: Symbol, type_name: str) -> alg.OperationTable:
 
 def master_partitions(
     family: Family,
-) -> list[tuple[tuple[tuple[Symbol, str], ...], Partition]]:
-    """Induced partition of the family universe per witness-type assignment."""
+) -> list[tuple[tuple[tuple[Symbol, str], ...], System]]:
+    """Per witness-type assignment, the induced closure of the universe."""
     universe = family.universe
     symbols = sorted(family.signature, key=lambda s: s.order)
     out = []
@@ -117,22 +116,18 @@ def master_partitions(
     return out
 
 
-def _system_from_index_blocks(
-    universe: TermUniverse, blocks: Iterable[Sequence[int]]
-) -> System:
-    return system_from_partition(partition_from_blocks(universe, blocks))
-
-
 def _xblock_orbit_representatives(
-    family: Family, perms: Sequence[Sequence[int]], x_index: int
+    family: Family, tables: SymmetryTables
 ) -> list[tuple[int, ...]]:
-    """The first-seen master x-block of each symmetry orbit of x-blocks.
+    """The first-seen master x-block (as indices) of each symmetry orbit.
 
     An orbit is identified by the least sorted image of its blocks.
     """
+    universe, perms = tables.universe, tables.perms
     reps: dict[tuple[int, ...], tuple[int, ...]] = {}
     for _types, master in master_partitions(family):
-        xblock = next(b for b in master.blocks if x_index in b)
+        xterms = next(b for b in master.blocks() if Var(0) in b)
+        xblock = tuple(map(universe.index, xterms))
         orbit = min(tuple(sorted(perm[i] for i in xblock)) for perm in perms)
         reps.setdefault(orbit, xblock)
     return list(reps.values())
@@ -151,21 +146,24 @@ def enumerate_family(family: Family) -> tuple[System, ...]:
     reached.
     """
     tables = symmetry_tables(family.signature, 2, frozenset())
-    universe, perms = tables.universe, tables.perms
+    universe = tables.universe
     size = len(universe)
     marked: set[int] = set()
     rows: dict[tuple[int, ...], list[int]] = {}
     canon: dict[tuple, tuple[tuple[int, ...], ...]] = {}
-    x_index = universe.index(Var(0))
-    for xblock in _xblock_orbit_representatives(family, perms, x_index):
+    for xblock in _xblock_orbit_representatives(family, tables):
         for parts in set_partitions(xblock):
             raw = [p for p in parts if len(p) > 1]
             if block_mark(raw, size) in marked:
                 continue
             key, _k, blocks = canonical_blocks(raw, tables, marked, rows)
             canon[key] = blocks
+    terms = universe.terms
     return tuple(
-        _system_from_index_blocks(universe, canon[key]) for key in sorted(canon)
+        system_from_blocks(
+            [[terms[i] for i in b] for b in canon[key]], universe.num_vars, universe.signature
+        )
+        for key in sorted(canon)
     )
 
 
@@ -320,9 +318,12 @@ class CandidateReport:
 
 
 def candidate_weakenings(s: System, universe: TermUniverse) -> tuple[System, ...]:
-    """Systems of all partitions strictly refining the closure partition."""
-    closure = partition_closure(s, universe)
-    return tuple(system_from_partition(p) for p in weakenings(closure))
+    """terms.weakenings of s over the universe's variables and signature,
+    which fixes the coefficient columns; ValueError for a foreign term."""
+    for block in s.blocks():
+        for t in block:
+            universe.index(t)
+    return tuple(weakenings(system(s.identities, universe.num_vars, universe.signature)))
 
 
 def minimal_candidates(
@@ -677,25 +678,3 @@ def verify_paper(manifest_text: Optional[str] = None) -> VerifyReport:
     }
     findings = tuple(_check_entry(e, reports, memo) for e in entries)
     return VerifyReport(findings)
-
-
-def brute_force_candidates(family: Family) -> tuple[System, ...]:
-    """Oracle: classify every partition of the whole universe, no pruning.
-
-    Feasible for the binary families and SingleTernary (Bell(4), Bell(6)
-    and Bell(8) partitions); validates that witness-type pruning loses no
-    candidates.
-    """
-    universe = family.universe
-    out = []
-    seen = set()
-    for parts in set_partitions(range(len(universe))):
-        blocks = [b for b in parts if len(b) > 1]
-        s = _system_from_index_blocks(universe, blocks)
-        canon = canonicalize(s, family.signature)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        if classify_system(canon).is_candidate:
-            out.append(canon)
-    return tuple(sorted(out, key=system_key))

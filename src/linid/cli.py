@@ -111,9 +111,11 @@ def check_certificate(s, cfg: RunConfig) -> dict:
     return cert
 
 
-def recheck_certificate(cert: dict) -> bool:
-    """Re-verify a persisted certificate from its own data."""
-    s = parse_system(cert["system"])
+def recheck_certificate(cert: dict, s) -> bool:
+    """Re-verify a persisted certificate of s from its own data.  Since
+    parse_system(format_system(s)) == s, its text must be format_system(s)."""
+    if cert["system"] != format_system(s):
+        return False
     if cert["status"] == "satisfiable":
         n = cert["prime"]
         witness = {
@@ -157,7 +159,7 @@ def _cmd_check(args, cfg: RunConfig) -> int:
         print(f"certificate written to {path}", file=sys.stderr)
     if cfg.recheck:
         loaded = json.loads(path.read_text()) if path else cert
-        if not recheck_certificate(loaded):
+        if not recheck_certificate(loaded, s):
             print("error: certificate failed re-verification", file=sys.stderr)
             return EXIT_MISMATCH
         print("recheck: certificate re-verified", file=sys.stderr)
@@ -282,10 +284,10 @@ def _cmd_minimal(args, cfg: RunConfig) -> int:
         for cls in report.candidates:
             cert = _classification_certificate(cls, cls.system)
             name = _certificate_name(cert["canonical_system"])
-            written.append(_write(cfg, name, _dump(cert) + "\n"))
+            written.append((_write(cfg, name, _dump(cert) + "\n"), cls.system))
         if cfg.recheck:
-            for path in written:
-                if not recheck_certificate(json.loads(path.read_text())):
+            for path, s in written:
+                if not recheck_certificate(json.loads(path.read_text()), s):
                     print(f"error: {path} failed re-verification", file=sys.stderr)
                     return EXIT_MISMATCH
             print(f"recheck: {len(written)} certificates re-verified", file=sys.stderr)

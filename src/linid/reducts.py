@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .terms import App, Symbol, System, Term, Var, VAR_NAMES, rename_term
+from .terms import Symbol, System, Term, Var, VAR_NAMES
 
 
 # ---------------------------------------------------------------------------
@@ -451,26 +451,17 @@ def solve_some_finite_ring(linsys: LinearSystem) -> RingVerdict:
         return None
 
     blocked = tuple(i for i, ci in enumerate(c) if row_diag(i) == 0 and ci != 0)
-    if not blocked:
-        # only finitely many primes (divisors of nonzero diagonal entries)
-        # can fail, so the scan terminates
-        for p in _primes():
-            if admissible(p) is None:
-                witness = solve_mod(linsys, p)
-                assert witness is not None, "admissible prime must yield a witness"
-                return RingVerdict(
-                    True, p, tuple(sorted(witness.items(), key=lambda kv: kv[0].order)),
-                    diag, c, blocked, 0, (),
-                )
     g = 0
     for i in blocked:
         g = math.gcd(g, c[i])
     exclusions = []
-    for p in sorted(_prime_factors(g)):
+    # blocked rows admit only primes dividing g; else only finitely many primes
+    # (divisors of nonzero diagonal entries) can fail, so the scan terminates
+    for p in sorted(_prime_factors(g)) if blocked else _primes():
         row = admissible(p)
         if row is None:
             witness = solve_mod(linsys, p)
-            assert witness is not None
+            assert witness is not None, "admissible prime must yield a witness"
             return RingVerdict(
                 True, p, tuple(sorted(witness.items(), key=lambda kv: kv[0].order)),
                 diag, c, blocked, g, (),
@@ -507,95 +498,3 @@ def verify_witness(
             ):
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# The three-variable reduction check
-#
-# For one ternary symbol, identities with three variables on both sides
-# (permutation identities) or with {x,y} on the left and {x,z} on the right
-# reduce to the two-variable case: any affine operation satisfying both
-# substitution instances (z -> x and z -> y) satisfies the original identity.
-# ---------------------------------------------------------------------------
-
-
-def _coeff_identity_holds(left: Term, right: Term, w: Sequence[int], p: int) -> bool:
-    """Whether an identity on one ternary symbol holds for coefficients w mod p."""
-    if left == right:
-        return True
-    for var in range(3):
-        lhs = rhs = 0
-        for side, sign in ((left, 1), (right, -1)):
-            if isinstance(side, Var):
-                val = 1 if side.index == var else 0
-            else:
-                val = sum(w[i] for i, v in enumerate(side.pattern) if v == var)
-            if sign > 0:
-                lhs = val
-            else:
-                rhs = val
-        if (lhs - rhs) % p != 0:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class LemmaCounterexample:
-    prime: int
-    left: Term
-    right: Term
-    witness: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    primes: tuple[int, ...]
-    shapes_checked: int
-    counterexamples: tuple[LemmaCounterexample, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-
-def three_variable_shapes() -> list[tuple[Term, Term]]:
-    """Single-symbol shapes covered by the two-variable reduction.
-
-    (a) permutation identities p(x,y,z) = p(sigma(x,y,z)), sigma nontrivial;
-    (b) two variables on each side, {x,y} left and {x,z} right.
-    """
-    shapes: list[tuple[Term, Term]] = []
-    base = App(Symbol.P, (0, 1, 2))
-    for perm in itertools.permutations(range(3)):
-        if perm != (0, 1, 2):
-            shapes.append((base, App(Symbol.P, perm)))
-    xy = [p for p in itertools.product((0, 1), repeat=3) if len(set(p)) == 2]
-    xz = [p for p in itertools.product((0, 2), repeat=3) if len(set(p)) == 2]
-    for pl in xy:
-        for pr in xz:
-            shapes.append((App(Symbol.P, pl), App(Symbol.P, pr)))
-    return shapes
-
-
-def substitution_lemma_check(primes: Sequence[int]) -> LemmaReport:
-    """Verify the reduction on every shape: a witness of both substitution
-    instances is a witness of the original identity."""
-    shapes = three_variable_shapes()
-    counterexamples = []
-    for p in primes:
-        if p < 2:
-            raise ValueError("primes must be at least 2")
-        candidates = affine_coefficients(p, 3)
-        for left, right in shapes:
-            # the instances z -> x and z -> y
-            insts = [
-                (rename_term(left, (0, 1, dst)), rename_term(right, (0, 1, dst)))
-                for dst in (0, 1)
-            ]
-            for w in candidates:
-                if all(_coeff_identity_holds(l, r, w, p) for l, r in insts):
-                    if not _coeff_identity_holds(left, right, w, p):
-                        counterexamples.append(
-                            LemmaCounterexample(p, left, right, w)
-                        )
-    return LemmaReport(tuple(primes), len(shapes), tuple(counterexamples))

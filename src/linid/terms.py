@@ -138,12 +138,6 @@ class System:
     def sorted_identities(self) -> tuple[Identity, ...]:
         return tuple(sorted(self.identities, key=Identity.key))
 
-    def mentioned_terms(self) -> tuple[Term, ...]:
-        seen = set()
-        for ident in self.identities:
-            seen.update(ident.terms())
-        return tuple(sorted(seen, key=term_key))
-
     def blocks(self) -> tuple[tuple[Term, ...], ...]:
         """Connected components of the identity graph, each sorted."""
         return _merge_terms(self.identities)
@@ -217,6 +211,15 @@ def system(
         raise ValueError("identity uses an undeclared symbol")
     return System(idents, num_vars, sig, tuple(warnings))
 
+
+def system_from_blocks(
+    term_blocks: Iterable[Sequence[Term]],
+    num_vars: Optional[int],
+    signature: Optional[Iterable[Symbol]],
+) -> System:
+    """The system whose closure has the given blocks of terms, in any order;
+    a block of one term adds nothing."""
+    return system(_chain_identities(term_blocks), num_vars, signature)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +363,7 @@ def format_system(s: System) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Term universes and partitions
+# Term universes
 # ---------------------------------------------------------------------------
 
 
@@ -395,100 +398,6 @@ def term_universe(signature: Iterable[Symbol], num_vars: int) -> TermUniverse:
             if len(set(pattern)) > 1:
                 terms.append(App(sym, pattern))
     return TermUniverse(sig, num_vars, tuple(terms))
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint covering blocks of a term universe, stored as index tuples.
-
-    Blocks are sorted internally and ordered by least element.
-    """
-
-    universe: TermUniverse
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        flat = [i for b in self.blocks for i in b]
-        if sorted(flat) != list(range(len(self.universe))):
-            raise ValueError("blocks must partition the universe")
-        normal = tuple(sorted((tuple(sorted(b)) for b in self.blocks), key=lambda b: b[0]))
-        object.__setattr__(self, "blocks", normal)
-
-    def term_blocks(self) -> tuple[tuple[Term, ...], ...]:
-        terms = self.universe.terms
-        return tuple(tuple(terms[i] for i in b) for b in self.blocks)
-
-    def block_of(self, t: Term) -> tuple[Term, ...]:
-        i = self.universe.index(t)
-        for b in self.blocks:
-            if i in b:
-                return tuple(self.universe.terms[j] for j in b)
-        raise AssertionError("unreachable: partition covers universe")
-
-    def nontrivial_blocks(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(b for b in self.blocks if len(b) > 1)
-
-    def refines(self, other: "Partition") -> bool:
-        """True iff every block of self is contained in a block of other."""
-        if self.universe != other.universe:
-            raise ValueError("partitions over different universes")
-        owner = {}
-        for k, b in enumerate(other.blocks):
-            for i in b:
-                owner[i] = k
-        return all(len({owner[i] for i in b}) == 1 for b in self.blocks)
-
-    def singletons_only(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
-
-
-def partition_from_blocks(
-    universe: TermUniverse, nontrivial: Iterable[Sequence[int]]
-) -> Partition:
-    """Partition with the given (index) blocks; unmentioned terms singleton."""
-    blocks = [tuple(sorted(b)) for b in nontrivial]
-    covered = {i for b in blocks for i in b}
-    if len(covered) != sum(len(b) for b in blocks):
-        raise ValueError("blocks overlap")
-    blocks.extend((i,) for i in range(len(universe)) if i not in covered)
-    return Partition(universe, tuple(blocks))
-
-
-def partition_closure(s: System, universe: TermUniverse) -> Partition:
-    """Smallest equivalence on the universe containing all identities of s."""
-    return partition_from_blocks(
-        universe,
-        [tuple(universe.index(t) for t in block) for block in s.blocks()],
-    )
-
-
-def system_from_partition(p: Partition) -> System:
-    """The system whose identities chain each non-singleton block."""
-    blocks = [tuple(p.universe.terms[i] for i in b) for b in p.nontrivial_blocks()]
-    return system(
-        _chain_identities(blocks),
-        num_vars=p.universe.num_vars,
-        signature=p.universe.signature,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Variable substitution
-# ---------------------------------------------------------------------------
-
-
-def substitute_variable(s: System, src: int, dst: int) -> System:
-    """Replace variable src by dst everywhere; drop identities that trivialise."""
-    if src >= s.num_vars:
-        raise ValueError(f"variable {VAR_NAMES[src]} not declared in system")
-    mapping = [dst if v == src else v for v in range(len(VAR_NAMES))]
-    idents = []
-    for ident in s.identities:
-        left = rename_term(ident.left, mapping)
-        right = rename_term(ident.right, mapping)
-        if left != right:
-            idents.append(Identity(left, right))
-    return system(idents, signature=s.signature)
 
 
 # ---------------------------------------------------------------------------
@@ -692,10 +601,10 @@ def canonicalize(s: System, signature: Optional[Iterable[Symbol]] = None) -> Sys
     blocks = [[index(t) for t in block] for block in s.blocks()]
     _key, k, moved = canonical_blocks(blocks, tables)
     symbol_map = tables.symbol_maps[k]
-    return system(
-        _chain_identities([[terms[i] for i in b] for b in moved]),
-        num_vars=s.num_vars,
-        signature=[symbol_map[sym] for sym in s.signature],
+    return system_from_blocks(
+        [[terms[i] for i in b] for b in moved],
+        s.num_vars,
+        [symbol_map[sym] for sym in s.signature],
     )
 
 
@@ -731,28 +640,15 @@ def set_partitions(items: Sequence) -> Iterator[tuple[tuple, ...]]:
     yield from rec(0, [], 0)
 
 
-def bell_number(n: int) -> int:
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
-
-
-def weakenings(p: Partition) -> Iterator[Partition]:
-    """All partitions strictly refining p, in deterministic order.
-
-    Count for a partition with block sizes k_1..k_r is Bell(k_1)...Bell(k_r)-1.
+def weakenings(s: System) -> Iterator[System]:
+    """Systems strictly refining the closure of s, over s's variables and
+    signature: the product of each block's set_partitions, blocks in term
+    order, without the unsplit one.  Bell(k_1)...Bell(k_r) - 1 of them.
     """
-    splittable = p.nontrivial_blocks()
-    singles = [b for b in p.blocks if len(b) == 1]
-    options = [list(set_partitions(b)) for b in splittable]
+    options = [list(set_partitions(block)) for block in s.blocks()]
     for combo in itertools.product(*options):
         if all(len(parts) == 1 for parts in combo):
-            continue  # the unrefined partition itself
-        blocks = list(singles)
-        for parts in combo:
-            blocks.extend(parts)
-        yield Partition(p.universe, tuple(blocks))
+            continue  # the closure of s itself
+        yield system_from_blocks(
+            [part for parts in combo for part in parts], s.num_vars, s.signature
+        )

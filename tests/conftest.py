@@ -38,3 +38,15 @@ def orbit_images(s, signature=None, elements=None):
             idents.extend(Identity(x, y) for x, y in zip(moved, moved[1:]))
         yield system(idents, num_vars=s.num_vars,
                      signature=[symbol_map[sym] for sym in s.signature])
+
+
+def refines(s, t):
+    """Whether every closure block of s lies inside a closure block of t."""
+    owner = {term: k for k, block in enumerate(t.blocks()) for term in block}
+    # a term in no block of t is a singleton there, its own owner
+    return all(len({owner.get(term, term) for term in block}) == 1 for block in s.blocks())
+
+
+def block_of(s, term):
+    """The closure block of s containing term (a singleton if none does)."""
+    return next((block for block in s.blocks() if term in block), (term,))

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from conftest import orbit_images, random_system
+from conftest import block_of, orbit_images, random_system, refines
+from reference import check_wnu_bridge
 from linid.algebra import (
     CloneCapExceeded,
     OperationTable,
     SatVerdict,
-    check_wnu_bridge,
     clone_slice,
     holds_in,
     induced_partition,
@@ -23,7 +23,6 @@ from linid.terms import (
     Var,
     format_system,
     parse_system,
-    partition_closure,
     symmetry_tables,
     term_universe,
 )
@@ -250,14 +249,14 @@ def test_witness_monotone_under_refinement():
     stronger = parse_system("p(x,x,y)=p(x,y,y)=p(x,y,x)=q(x,x,y)=q(x,y,x)=q(y,x,x)")
     weaker = parse_system(S4)
     u = term_universe(PQ, 2)
-    assert partition_closure(weaker, u).refines(partition_closure(stronger, u))
+    assert refines(weaker, stronger)
     for algebra in (semilattice_b(), majority_a(3)):
         v = holds_in(stronger, algebra)
         if not v.satisfiable:
             continue
         wit = v.witness_dict()
         part = induced_partition(wit, u, algebra)
-        assert partition_closure(weaker, u).refines(part)
+        assert refines(weaker, part)
 
 
 def test_induced_partition_examples():
@@ -267,23 +266,24 @@ def test_induced_partition_examples():
     pi1 = projection(3, 3, 0)
 
     part = induced_partition({Symbol.P: pi1, Symbol.Q: f}, u, a)
-    xblock = {str(t) for t in part.block_of(Var(0))}
+    xblock = {str(t) for t in block_of(part, Var(0))}
     assert xblock == {
         "x", "p(x,x,y)", "p(x,y,y)", "p(x,y,x)",
         "q(x,x,y)", "q(x,y,x)", "q(y,x,x)",
     }
-    yblock = {str(t) for t in part.block_of(Var(1))}
+    yblock = {str(t) for t in block_of(part, Var(1))}
     assert len(yblock) == 7 and "y" in yblock
+    assert (part.num_vars, part.signature) == (2, PQ)
 
     part = induced_partition({Symbol.P: f, Symbol.Q: f}, u, a)
-    xblock = {str(t) for t in part.block_of(Var(0))}
+    xblock = {str(t) for t in block_of(part, Var(0))}
     assert xblock == {
         "x", "p(x,x,y)", "p(x,y,x)", "p(y,x,x)",
         "q(x,x,y)", "q(x,y,x)", "q(y,x,x)",
     }
 
     part = induced_partition({Symbol.P: pi1, Symbol.Q: pi1}, u, a)
-    xblock = {str(t) for t in part.block_of(Var(0))}
+    xblock = {str(t) for t in block_of(part, Var(0))}
     assert xblock == {
         "x", "p(x,x,y)", "p(x,y,y)", "p(x,y,x)",
         "q(x,x,y)", "q(x,y,y)", "q(x,y,x)",

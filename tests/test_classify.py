@@ -1,7 +1,8 @@
 import json
 import random
 
-from conftest import orbit_images
+from conftest import PQ, block_of, orbit_images, random_system
+from reference import brute_force_candidates, partition_weakenings
 
 import pytest
 
@@ -9,7 +10,7 @@ from linid import classify, reducts, terms
 from linid.classify import (
     Family,
     ManifestError,
-    brute_force_candidates,
+    candidate_weakenings,
     classify_system,
     enumerate_family,
     master_partitions,
@@ -24,11 +25,10 @@ from linid.terms import (
     canonicalize,
     format_system,
     parse_system,
-    partition_from_blocks,
     set_partitions,
     symmetry_tables,
     system,
-    system_from_partition,
+    system_from_blocks,
     system_key,
 )
 
@@ -57,17 +57,18 @@ def test_master_partitions_two_ternary():
 
     key = ((Symbol.P, "pi1"), (Symbol.Q, "maj"))
     part = masters[key]
-    assert {str(t) for t in part.block_of(Var(0))} == {
+    assert {str(t) for t in block_of(part, Var(0))} == {
         "x", "p(x,x,y)", "p(x,y,y)", "p(x,y,x)",
         "q(x,x,y)", "q(x,y,x)", "q(y,x,x)",
     }
     # every master splits the universe into the x side and the mirrored y side
     for part in masters.values():
-        assert len(part.blocks) == 2
-        assert all(len(b) == 7 for b in part.blocks)
+        assert len(part.blocks()) == 2
+        assert all(len(b) == 7 for b in part.blocks())
+        assert (part.num_vars, part.signature) == (2, u.signature)
 
     key = ((Symbol.P, "maj"), (Symbol.Q, "maj"))
-    assert {str(t) for t in masters[key].block_of(Var(0))} == {
+    assert {str(t) for t in block_of(masters[key], Var(0))} == {
         "x", "p(x,x,y)", "p(x,y,x)", "p(y,x,x)",
         "q(x,x,y)", "q(x,y,x)", "q(y,x,x)",
     }
@@ -92,14 +93,10 @@ def test_enumerate_contains_the_three_candidates():
 
 def unreduced_enumeration(family):
     """Reference: canonicalise every raw partition of every master x-block."""
-    universe = family.universe
-    x_index = universe.index(Var(0))
     raw = set()
     for _types, master in master_partitions(family):
-        xblock = next(b for b in master.blocks if x_index in b)
-        for parts in set_partitions(xblock):
-            blocks = [p for p in parts if len(p) > 1]
-            raw.add(system_from_partition(partition_from_blocks(universe, blocks)))
+        for parts in set_partitions(block_of(master, Var(0))):
+            raw.add(system_from_blocks(parts, 2, family.signature))
     canonical = {canonicalize(s, family.signature) for s in raw}
     return tuple(sorted(canonical, key=system_key))
 
@@ -318,6 +315,46 @@ def test_candidate_weakenings_hold_in_both_algebras(two_ternary_report):
     for weak in record.weakenings:
         assert holds_in(weak.system, b).satisfiable
         assert holds_in(weak.system, a).satisfiable
+
+
+def test_candidate_weakenings_match_partition_walk(two_ternary_report):
+    # the sweep read from a system's closure blocks lists the same systems,
+    # in the same order and over the universe's variables and signature, as
+    # the walk over index partitions of the universe
+    P, T = Symbol.P, Symbol.T
+    # every candidate of the five families: the other four have none
+    # (test_zero_candidate_families)
+    cases = [(c.system, Family.TWO_TERNARY) for c in two_ternary_report.candidates]
+    assert len(cases) > 3
+    cases += [(parse_system(text), Family.TWO_TERNARY) for text in (S4, S5, S7)]
+    rng = random.Random("weakenings")
+    shapes = [
+        (PQ, Family.TWO_TERNARY),
+        ({P}, Family.TWO_TERNARY),
+        ({P}, Family.SINGLE_TERNARY),
+        ({P}, Family.BINARY_PLUS_TERNARY),
+        ({P, T}, Family.BINARY_PLUS_TERNARY),
+    ]
+    for _ in range(200):
+        sig, family = rng.choice(shapes)
+        s = random_system(rng, frozenset(sig))
+        if rng.random() < 0.25:
+            # declared over three variables, using two
+            s = system(s.identities, num_vars=3, signature=s.signature)
+        cases.append((s, family))
+    for s, family in cases:
+        got = candidate_weakenings(s, family.universe)
+        want = partition_weakenings(s, family.universe)
+        assert [(w, w.signature, w.num_vars) for w in got] == [
+            (w, w.signature, w.num_vars) for w in want
+        ], format_system(s)
+
+
+def test_candidate_weakenings_rejects_foreign_terms():
+    with pytest.raises(ValueError, match=r"^term q\(x,x,y\) outside universe$"):
+        candidate_weakenings(parse_system(S4), Family.SINGLE_TERNARY.universe)
+    with pytest.raises(ValueError, match="outside universe"):
+        candidate_weakenings(parse_system("x=p(x,y,z)"), Family.SINGLE_TERNARY.universe)
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,30 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import linid
 from linid import algebra, cli, reducts
 from linid.cli import (
     MAX_ALGEBRA_SIZE, MAX_CLONE_CAP, MAX_MODULUS_BOUND, build_parser, main,
 )
+from linid.terms import parse_system
 
 S4 = "p(x,x,y)=p(x,y,y); p(x,y,x)=q(x,x,y)=q(x,y,x)=q(y,x,x)"
+S5 = "x=q(x,y,x); p(x,y,y)=p(x,y,x); p(x,x,y)=q(x,x,y)=q(y,x,x)"
+
+# sha256 of the standard output of these commands; any change to the report
+# bytes fails here
+GOLDEN_SHA256 = {
+    ("verify-paper", "--format", "both"):
+        "3c129dc434fadd08222c4d0c7044c5c161cabff13ae4f9c4a40eaf58ea9bdc3c",
+    ("minimal", "TwoTernary", "--format", "both"):
+        "55b8cd4c81b5342f0e81009a2264c58361430a7a1c35063b9ac027917fec3fef",
+}
 
 
 def run(capsys, *argv):
@@ -151,6 +165,39 @@ def test_certificates_written_and_recheck(tmp_path, capsys):
     assert "re-verified" in err
 
 
+def test_check_recheck_parses_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_system(text)
+
+    monkeypatch.setattr(cli, "parse_system", counting)
+    code, _, err = run(capsys, "check", S4, "-o", str(tmp_path), "--recheck")
+    assert code == 0 and "re-verified" in err
+    assert calls == [S4]
+
+
+def test_recheck_rejects_an_altered_certificate(tmp_path, capsys, monkeypatch):
+    # a certificate naming another system, or carrying a B witness table that
+    # breaks an identity, fails the recheck and the command exits 1
+    s = parse_system(S4)
+    cert = cli.check_certificate(s, cli.RunConfig())
+    assert cli.recheck_certificate(cert, s)
+    other_system = {**cert, "system": cli.format_system(parse_system(S5))}
+    other_table = json.loads(json.dumps(cert))
+    table = other_table["holds_in_b"]["witness"]["p"]["table"]
+    table[3] = 1 - table[3]  # p(x,y,y) at x=0, y=1 no longer equals p(x,x,y)
+    for k, altered in enumerate((other_system, other_table)):
+        assert not cli.recheck_certificate(altered, s)
+        monkeypatch.setattr(cli, "check_certificate", lambda _s, _cfg, a=altered: a)
+        out_dir = tmp_path / str(k)
+        code, out, err = run(capsys, "check", S4, "-o", str(out_dir), "--recheck")
+        assert code == 1
+        assert json.loads(out) == altered
+        assert err.endswith("error: certificate failed re-verification\n")
+
+
 def test_output_dir_from_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LINID_OUTPUT_DIR", str(tmp_path))
     code, _, _ = run(capsys, "check", "x=t(x,y)")
@@ -179,6 +226,14 @@ def test_verify_paper_with_good_and_bad_manifests(tmp_path, capsys):
     broken.write_text("wat | nope\n")
     code, _, err = run(capsys, "verify-paper", "--manifest", str(broken))
     assert code == 2
+
+
+def test_minimal_entry_outside_its_family_exit_2(tmp_path, capsys):
+    # the weakening sweep of a `minimal` entry runs on the family universe
+    manifest = tmp_path / "foreign.txt"
+    manifest.write_text("minimal | SingleTernary | " + S4 + "\n")
+    code, out, err = run(capsys, "verify-paper", "--manifest", str(manifest))
+    assert (code, out, err) == (2, "", "error: term q(x,x,y) outside universe\n")
 
 
 def test_minimal_writes_reports_and_candidate_certificates(tmp_path, capsys):
@@ -323,3 +378,11 @@ def test_output_independent_of_hash_seed():
         )
         outputs.append(done.stdout)
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SHA256), ids=" ".join)
+def test_report_bytes_match_pinned_hashes(argv, capsys, monkeypatch):
+    monkeypatch.delenv("LINID_OUTPUT_DIR", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SHA256[argv]

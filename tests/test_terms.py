@@ -1,7 +1,8 @@
 import itertools
 import random
 
-from conftest import orbit_images, random_system
+from conftest import block_of, orbit_images, random_system, refines
+from reference import bell_number, substitute_variable
 
 import pytest
 
@@ -14,20 +15,16 @@ from linid.terms import (
     Var,
     _term_image,
     app,
-    bell_number,
     block_mark,
     canonical_blocks,
     canonicalize,
     format_system,
     parse_system,
-    partition_closure,
-    partition_from_blocks,
     rename_term,
     set_partitions,
-    substitute_variable,
     symmetry_tables,
     system,
-    system_from_partition,
+    system_from_blocks,
     system_key,
     term_key,
     term_universe,
@@ -148,41 +145,30 @@ def test_universe_sizes_other_signatures():
 
 
 def test_partition_closure_examples():
+    # a system's closure blocks, each in term order; other terms are singletons
     u = term_universe(PQ, 2)
-    empty = partition_closure(parse_system(""), u)
-    assert empty.singletons_only()
-    assert len(empty.blocks) == 14
+    empty = parse_system("")
+    assert empty.blocks() == ()
+    assert all(block_of(empty, t) == (t,) for t in u.terms)
 
-    s4 = partition_closure(parse_system(S4), u)
-    nontrivial = [
-        tuple(str(t) for t in block)
-        for block in s4.term_blocks()
-        if len(block) > 1
-    ]
-    assert nontrivial == [
+    s4 = parse_system(S4)
+    assert [tuple(str(t) for t in block) for block in s4.blocks()] == [
         ("p(x,x,y)", "p(x,y,y)"),
         ("p(x,y,x)", "q(x,x,y)", "q(x,y,x)", "q(y,x,x)"),
     ]
 
-    m2 = partition_closure(parse_system(MASTER2), u)
-    xblock = m2.block_of(Var(0))
+    xblock = block_of(parse_system(MASTER2), Var(0))
     assert {str(t) for t in xblock} == {
         "x", "p(x,x,y)", "p(x,y,y)", "p(x,y,x)",
         "q(x,x,y)", "q(x,y,x)", "q(y,x,x)",
     }
 
 
-def test_partition_closure_rejects_foreign_terms():
-    u = term_universe(frozenset((Symbol.P,)), 2)
-    with pytest.raises(ValueError):
-        partition_closure(parse_system("p(x,x,y)=q(x,x,y)"), u)
-
-
 def test_closure_ignores_identity_regrouping():
-    u = term_universe(PQ, 2)
     a = parse_system("p(x,x,y)=p(x,y,y)=p(x,y,x)")
     b = parse_system("p(x,x,y)=p(x,y,x); p(x,y,y)=p(x,y,x)")
-    assert partition_closure(a, u) == partition_closure(b, u)
+    assert a == b
+    assert a.blocks() == b.blocks()
 
 
 def test_substitute_variable_examples():
@@ -234,11 +220,11 @@ def test_apply_symmetry_group_action_on_systems():
     # mapping a system's closure by h and then by g is mapping it by g after h
     tables = symmetry_tables(PQ, 2, frozenset())
     u, perms = tables.universe, tables.perms
-    closure = partition_closure(parse_system(S4), u)
+    closure = parse_system(S4)
 
-    def act(perm, part):
-        moved = [[perm[i] for i in b] for b in part.nontrivial_blocks()]
-        return partition_from_blocks(u, moved)
+    def act(perm, s):
+        moved = [[u.terms[perm[u.index(t)]] for t in b] for b in s.blocks()]
+        return system_from_blocks(moved, 2, PQ)
 
     rng = random.Random(11)
     for _ in range(60):
@@ -254,7 +240,7 @@ def test_argument_permutation_fixes_system_4():
     # the same equivalence, so the system is a fixed point of the action
     tables = symmetry_tables(PQ, 2, frozenset())
     u = tables.universe
-    closure = partition_closure(parse_system(S4), u)
+    closure = parse_system(S4)
     for cycle in ((2, 0, 1), (1, 2, 0)):
         perm = tuple(
             u.index(app(t.sym, [t.pattern[j] for j in cycle]))
@@ -262,8 +248,8 @@ def test_argument_permutation_fixes_system_4():
             for i, t in enumerate(u.terms)
         )
         assert perm in tables.perms
-        moved = [[perm[i] for i in b] for b in closure.nontrivial_blocks()]
-        assert partition_from_blocks(u, moved) == closure
+        moved = [[u.terms[perm[u.index(t)]] for t in b] for b in closure.blocks()]
+        assert system_from_blocks(moved, 2, PQ) == closure
 
 
 def test_canonicalize_constant_on_orbits():
@@ -466,22 +452,25 @@ def test_set_partitions_counts():
 
 
 def test_weakenings_counts_and_strictness():
-    u = term_universe(PQ, 2)
-    singles = partition_from_blocks(u, [])
-    assert list(weakenings(singles)) == []
+    assert list(weakenings(parse_system(""))) == []
 
-    pair = partition_from_blocks(u, [(0, 1)])
+    pair = parse_system("x=y")
     ws = list(weakenings(pair))
     assert len(ws) == 1
-    assert ws[0].singletons_only()
+    assert ws[0].blocks() == ()
 
-    master = partition_from_blocks(u, [tuple(range(7))])
+    master = system_from_blocks([term_universe(PQ, 2).terms[:7]], 2, PQ)
     refinements = list(weakenings(master))
     assert len(refinements) == 876
-    assert all(p.refines(master) and p != master for p in refinements)
+    assert len(set(refinements)) == 876
+    assert all(refines(w, master) and w != master for w in refinements)
+    assert all((w.num_vars, w.signature) == (2, PQ) for w in refinements)
 
 
-def test_system_from_partition_round_trip():
-    u = term_universe(PQ, 2)
-    s = parse_system(S4)
-    assert system_from_partition(partition_closure(s, u)) == s
+def test_system_from_blocks_round_trip():
+    for text in (S4, S5, S7, MASTER2, ""):
+        s = parse_system(text)
+        assert system_from_blocks(s.blocks(), s.num_vars, s.signature) == s
+    # a block of one term adds nothing
+    blocks = [(Var(0), app(Symbol.P, (0, 0, 1))), (Var(1),)]
+    assert format_system(system_from_blocks(blocks, 3, PQ)) == "x=p(x,x,y)"
