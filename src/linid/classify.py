@@ -405,17 +405,22 @@ class ManifestEntry:
         return " | ".join(bits)
 
 
-_ENTRY_KINDS = {
-    "holds-mod",
-    "projections",
-    "projections-exist",
-    "fails-in-b",
-    "ring-unsat",
-    "minimal",
-    "minimal-candidates",
-    "zero-candidates",
-    "affine-table",
+# each entry kind with the fields it cannot do without, after the kind
+_ENTRY_FIELDS = {
+    "holds-mod": ("family", "system", "modulus"),
+    "projections": ("family", "system"),
+    "projections-exist": ("family", "system"),
+    "fails-in-b": ("family", "system"),
+    "ring-unsat": ("family", "system"),
+    "minimal": ("family", "system"),
+    "minimal-candidates": ("family",),
+    "zero-candidates": ("family",),
+    "affine-table": ("modulus", "terms"),
 }
+
+# the default --modulus-bound of `check`; entry work grows with the modulus
+# (an affine-table entry lists modulus**2 terms)
+MAX_MANIFEST_MODULUS = 64
 
 
 def _parse_witness_fields(fields: Sequence[str]) -> tuple[tuple[Symbol, str], ...]:
@@ -428,6 +433,15 @@ def _parse_witness_fields(fields: Sequence[str]) -> tuple[tuple[Symbol, str], ..
     return tuple(out)
 
 
+def _parse_modulus(text: str, line_no: int) -> int:
+    n = int(text)
+    if not 2 <= n <= MAX_MANIFEST_MODULUS:
+        raise ManifestError(
+            f"line {line_no}: modulus {n} outside 2..{MAX_MANIFEST_MODULUS}"
+        )
+    return n
+
+
 def parse_manifest(text: str) -> tuple[ManifestEntry, ...]:
     from .terms import parse_system
 
@@ -438,8 +452,13 @@ def parse_manifest(text: str) -> tuple[ManifestEntry, ...]:
             continue
         fields = [f.strip() for f in line.split("|")]
         kind = fields[0]
-        if kind not in _ENTRY_KINDS:
+        if kind not in _ENTRY_FIELDS:
             raise ManifestError(f"line {line_no}: unknown entry kind {kind!r}")
+        required = _ENTRY_FIELDS[kind]
+        if len(fields) <= len(required):
+            raise ManifestError(
+                f"line {line_no}: {kind} entry lacks its {required[len(fields) - 1]} field"
+            )
         try:
             if kind == "affine-table":
                 entries.append(
@@ -448,7 +467,7 @@ def parse_manifest(text: str) -> tuple[ManifestEntry, ...]:
                         kind,
                         None,
                         None,
-                        modulus=int(fields[1]),
+                        modulus=_parse_modulus(fields[1], line_no),
                         table_terms=tuple(
                             t.strip() for t in fields[2].split(",") if t.strip()
                         ),
@@ -475,7 +494,7 @@ def parse_manifest(text: str) -> tuple[ManifestEntry, ...]:
                         kind,
                         Family.parse(fields[1]),
                         parse_system(fields[2]),
-                        modulus=int(fields[3]),
+                        modulus=_parse_modulus(fields[3], line_no),
                         witness=_parse_witness_fields(fields[4:]),
                     )
                 )

@@ -125,10 +125,6 @@ class LinearSystem:
     rhs: tuple[int, ...]
     _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def num_unknowns(self) -> int:
-        return sum(s.arity for s in self.symbols)
-
     def smith_form(self, k: int = 0) -> SmithForm:
         """Smith form of the columns of symbols k and later (k = 0: all)."""
         form = self._forms.get(k)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -126,21 +127,23 @@ class System:
     The identity set is normalised at construction: identities are regrouped
     into chains (consecutive pairs of each closure block, ordered by term
     order), so two systems generating the same equivalence compare equal.
-    num_vars and signature are construction metadata and do not take part in
-    equality; build instances through :func:`system`.
+    num_vars, signature and closure are construction metadata and do not
+    take part in equality; build instances through :func:`system`, which
+    computes the closure once and keeps it.
     """
 
     identities: frozenset[Identity]
     num_vars: int = field(compare=False, default=2)
     signature: frozenset[Symbol] = field(compare=False, default=frozenset())
     warnings: tuple[str, ...] = field(compare=False, default=())
+    closure: tuple[tuple[Term, ...], ...] = field(compare=False, default=(), repr=False)
 
     def sorted_identities(self) -> tuple[Identity, ...]:
         return tuple(sorted(self.identities, key=Identity.key))
 
     def blocks(self) -> tuple[tuple[Term, ...], ...]:
         """Connected components of the identity graph, each sorted."""
-        return _merge_terms(self.identities)
+        return self.closure
 
     def __str__(self) -> str:
         return format_system(self)
@@ -191,7 +194,8 @@ def system(
     num_vars defaults to the variables actually used (at least 2); signature
     defaults to the symbols actually used.
     """
-    idents = _chain_identities(_merge_terms(identities))
+    closure = _merge_terms(identities)
+    idents = _chain_identities(closure)
     used_vars: set[int] = set()
     used_syms: set[Symbol] = set()
     for ident in idents:
@@ -209,7 +213,7 @@ def system(
     sig = frozenset(signature) if signature is not None else frozenset(used_syms)
     if not used_syms <= sig:
         raise ValueError("identity uses an undeclared symbol")
-    return System(idents, num_vars, sig, tuple(warnings))
+    return System(idents, num_vars, sig, tuple(warnings), closure)
 
 
 def system_from_blocks(
@@ -530,16 +534,38 @@ def block_mark(blocks: Iterable[Sequence[int]], size: int) -> int:
     ])
 
 
-def _block_row(block: Sequence[int], tables: SymmetryTables) -> list[int]:
-    """block_mark of the image of one block under every element, in order."""
-    weights = _pair_weights(len(tables.columns))
-    images = zip(*[tables.columns[i] for i in block])
-    if len(block) == 2:
+def _image_marks(columns: Sequence[Sequence[int]], size: int) -> list[int]:
+    """block_mark of the images of one block under a run of elements, from
+    the block's columns: each of its indices' images, element by element."""
+    weights = _pair_weights(size)
+    images = zip(*columns)
+    if len(columns) == 2:
         return [weights[a][b] if a < b else weights[b][a] for a, b in images]
     return [
         sum([weights[a][b] for a, b in itertools.pairwise(sorted(image))])
         for image in images
     ]
+
+
+def _block_row(block: Sequence[int], tables: SymmetryTables) -> list[int]:
+    """block_mark of the image of one block under every element, in order."""
+    return _image_marks([tables.columns[i] for i in block], len(tables.columns))
+
+
+def _reaching_least_head(
+    blocks: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]
+) -> list[int]:
+    """The elements, in order, that send some index of a block of two or
+    more to the least index any element sends one to; only the identity
+    when there is no such block."""
+    heads = [columns[i] for b in blocks if len(b) > 1 for i in b]
+    if not heads:
+        return [0]
+    head = min(map(min, heads))
+    # an element sends at most one index to the head
+    return sorted(itertools.chain.from_iterable(
+        itertools.compress(itertools.count(), map(head.__eq__, column)) for column in heads
+    ))
 
 
 def canonical_blocks(
@@ -565,22 +591,41 @@ def canonical_blocks(
     its mark is larger.  All images of the blocks have the same number of
     pairs, so the first largest mark belongs to the first least key.  A mark
     is the sum of one value per block; rows maps each block to its values
-    under every element (filled here, and reusable across calls with the
-    same tables).
+    under every element (filled here when marks is given, and reusable
+    across calls with the same tables).
+
+    Without marks, only the elements that can win are ranked.  A mark's most
+    significant nonzero digit is at the least index of its image, the head
+    of a block of two or more, so every largest mark sends some index to the
+    least head that any element reaches; those elements are ranked in order,
+    and the first largest among them is the first largest of all.
     """
-    if rows is None:
-        rows = {}
-    block_rows = []
-    for b in blocks:
-        b = tuple(b)
-        row = rows.get(b)
-        if row is None:
-            row = rows[b] = _block_row(b, tables)
-        block_rows.append(row)
-    values = list(map(sum, zip(*block_rows))) or [0] * len(tables.perms)
+    columns = tables.columns
+    if marks is None:
+        ranked = _reaching_least_head(blocks, columns)
+        block_rows = []
+        if len(ranked) > 1:  # a lone element wins unranked
+            pick = operator.itemgetter(*ranked)
+            block_rows = [
+                _image_marks([pick(columns[i]) for i in b], len(columns))
+                for b in blocks
+                if len(b) > 1
+            ]
+    else:
+        ranked = range(len(tables.perms))
+        if rows is None:
+            rows = {}
+        block_rows = []
+        for b in blocks:
+            b = tuple(b)
+            row = rows.get(b)
+            if row is None:
+                row = rows[b] = _block_row(b, tables)
+            block_rows.append(row)
+    values = list(map(sum, zip(*block_rows))) or [0] * len(ranked)
     if marks is not None:
         marks.update(values)
-    k = values.index(max(values))
+    k = ranked[values.index(max(values))]
     perm = tables.perms[k]
     moved_blocks = tuple(sorted(tuple(sorted(perm[i] for i in b)) for b in blocks))
     key = tuple(sorted(pair for b in moved_blocks for pair in itertools.pairwise(b)))

@@ -8,7 +8,7 @@ PQ = frozenset((Symbol.P, Symbol.Q))
 def random_system(rng: random.Random, signature=PQ, num_vars=2):
     """Random chains over a random subset of the term universe."""
     u = term_universe(signature, num_vars)
-    k = rng.randint(2, 7)
+    k = rng.randint(2, min(7, len(u)))
     chosen = rng.sample(list(u.terms), k)
     nblocks = rng.randint(1, max(1, k // 2))
     blocks = {}

@@ -18,13 +18,16 @@ from linid.terms import (
     Identity,
     Symbol,
     System,
+    SymmetryTables,
     Term,
     TermUniverse,
     VAR_NAMES,
     Var,
+    block_mark,
     canonicalize,
     rename_term,
     set_partitions,
+    symmetry_tables,
     system,
     system_from_blocks,
     system_key,
@@ -84,6 +87,39 @@ def partition_weakenings(s: System, universe: TermUniverse) -> list[System]:
         ]
         out.append(system(idents, universe.num_vars, universe.signature))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The canonical form by ranking every group element, as the library did
+# before it ranked only the elements that can win
+# ---------------------------------------------------------------------------
+
+
+def first_largest_mark(blocks: Sequence[Sequence[int]], tables: SymmetryTables) -> int:
+    """The first element whose image of the index blocks has the largest
+    block_mark, every element ranked."""
+    size = len(tables.universe)
+    rows = [
+        [block_mark([image], size) for image in zip(*[tables.columns[i] for i in b])]
+        for b in blocks
+    ]
+    values = list(map(sum, zip(*rows))) or [0] * len(tables.perms)
+    return values.index(max(values))
+
+
+def canonicalize_every_element(s: System, signature=None) -> System:
+    """canonicalize, with the image chosen by first_largest_mark."""
+    sig = frozenset(signature) if signature is not None else s.signature
+    tables = symmetry_tables(sig, s.num_vars, s.signature - sig)
+    u = tables.universe
+    blocks = [[u.index(t) for t in block] for block in s.blocks()]
+    k = first_largest_mark(blocks, tables)
+    perm, symbol_map = tables.perms[k], tables.symbol_maps[k]
+    return system_from_blocks(
+        [[u.terms[perm[i]] for i in b] for b in blocks],
+        s.num_vars,
+        [symbol_map[sym] for sym in s.signature],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from linid import classify, reducts, terms
 from linid.classify import (
     Family,
+    MAX_MANIFEST_MODULUS,
     ManifestError,
     candidate_weakenings,
     classify_system,
@@ -401,6 +402,42 @@ def test_manifest_parser_errors():
     )
     assert len(entries) == 1
     assert entries[0].modulus == 2
+
+
+# one complete line per entry kind; dropping its last field leaves a line
+# that lacks the named field
+_FULL_ENTRIES = [
+    ("holds-mod | TwoTernary | p(x,x,y)=q(x,x,y) | 2", "modulus"),
+    ("projections | TwoTernary | p(x,x,y)=q(x,x,y)", "system"),
+    ("projections-exist | TwoTernary | p(x,x,y)=q(x,x,y)", "system"),
+    ("fails-in-b | TwoTernary | p(x,x,y)=q(x,x,y)", "system"),
+    ("ring-unsat | TwoTernary | p(x,x,y)=q(x,x,y)", "system"),
+    ("minimal | TwoTernary | p(x,x,y)=q(x,x,y)", "system"),
+    ("minimal-candidates | TwoTernary", "family"),
+    ("zero-candidates | TwoTernary", "family"),
+    ("affine-table | 3 | x, y", "terms"),
+]
+
+
+@pytest.mark.parametrize("line, field", _FULL_ENTRIES, ids=lambda v: v.split(" ")[0])
+def test_manifest_line_without_a_field_names_it(line, field):
+    assert len(parse_manifest(line)) == 1
+    short = line.rsplit("|", 1)[0]
+    kind = line.split(" ")[0]
+    with pytest.raises(ManifestError) as info:
+        parse_manifest("# header\n" + short)
+    assert str(info.value) == f"line 2: {kind} entry lacks its {field} field"
+
+
+def test_manifest_moduli_are_bounded():
+    for n in (2, MAX_MANIFEST_MODULUS):
+        assert parse_manifest(f"affine-table | {n} | x")[0].modulus == n
+        assert parse_manifest(f"holds-mod | TwoTernary | x=p(x,x,y) | {n} | p=x")[0].modulus == n
+    for n in (-5, 0, 1, MAX_MANIFEST_MODULUS + 1, 99999999):
+        for line in (f"affine-table | {n} | x", f"holds-mod | TwoTernary | x=p(x,x,y) | {n} | p=x"):
+            with pytest.raises(ManifestError) as info:
+                parse_manifest(line)
+            assert str(info.value) == f"line 1: modulus {n} outside 2..{MAX_MANIFEST_MODULUS}"
 
 
 def test_verify_paper_reports_mismatch_instead_of_raising():

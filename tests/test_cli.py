@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import linid
-from linid import algebra, cli, reducts
+from linid import algebra, cli, reducts, terms
 from linid.cli import (
     MAX_ALGEBRA_SIZE, MAX_CLONE_CAP, MAX_MODULUS_BOUND, build_parser, main,
 )
@@ -24,6 +24,34 @@ GOLDEN_SHA256 = {
         "3c129dc434fadd08222c4d0c7044c5c161cabff13ae4f9c4a40eaf58ea9bdc3c",
     ("minimal", "TwoTernary", "--format", "both"):
         "55b8cd4c81b5342f0e81009a2264c58361430a7a1c35063b9ac027917fec3fef",
+}
+
+# the certificate file name and the sha256 of the standard output of `check
+# S -o D --recheck`; the certificate written to D holds the same bytes
+CHECK_SHA256 = {
+    S4: ("6e56ab0c08f110e3.json",
+         "46beead7f3b4f82fef8b3dfa6f6b433cee4d66818c214089b1abe3d54dcd5b6e"),
+    S5: ("d6a2779ac7eb054b.json",
+         "a40c56fb6a3901721447c87b9e806562abb873386cafda480731bf11e7b7cbb5"),
+    "x=p(x,x,y); p(x,y,x)=p(y,x,x)=q(y,x,x)=q(x,y,x)=q(x,x,y)":
+        ("9c9a1ad73cfac595.json",
+         "e6810fcce0b0c16e6b8a8f49b2a33056df005c88c242cc7ada17545eb0e0e492"),
+    "p(x,y,z)=q(z,y,x); p(x,x,y)=q(y,z,z)":
+        ("38685afaaaf84842.json",
+         "1b02f81371532b67b9d522c6205659cbfc640f44ab7b2a8ac75b2e26a905805e"),
+    "p(x,y,z)=q(x,z,y); t(x,y)=s(y,z)":
+        ("a13822e04d4b62bb.json",
+         "d30bd11b3fb71ab9a38e877bada53a155791ebf7e04d632fe9fbd2d285fc9677"),
+    "x=t(x,y)":
+        ("d88edc0687fceaba.json",
+         "a5a95e348e58b3b4d457e8eb14fbc756ae5d23404ee0091782b34c7800834278"),
+    "x=p(x,x,y)":
+        ("8021d7462271c530.json",
+         "c393091626aeee145627c7a9391b65975ed442545205fdafbdf5c2b282b30b50"),
+    # three variables, ring-satisfiable
+    "p(x,y,z)=p(x,z,y)":
+        ("95fda9df01c4bd76.json",
+         "73019536ea92feeb8150686656b125f68fc8610e1502dea87b9c00b9f7418aef"),
 }
 
 
@@ -386,3 +414,54 @@ def test_report_bytes_match_pinned_hashes(argv, capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SHA256[argv]
+
+
+@pytest.mark.parametrize("text", list(CHECK_SHA256))
+def test_check_bytes_match_pinned_hashes(text, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("LINID_OUTPUT_DIR", raising=False)
+    code, out, err = run(capsys, "check", text, "-o", str(tmp_path), "--recheck")
+    name, digest = CHECK_SHA256[text]
+    cert = tmp_path / name
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert (code, err) == (0, f"certificate written to {cert}\nrecheck: certificate re-verified\n")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("text", [S4, "p(x,x,z)=p(x,z,x)=p(x,z,z)=q(y,y,z)=q(z,y,z)"])
+def test_check_recheck_computes_each_closure_at_most_twice(text, tmp_path, capsys, monkeypatch):
+    # one closure for the parsed system and one for its canonical form; the
+    # certificate and the recheck read the closures kept on the systems
+    monkeypatch.delenv("LINID_OUTPUT_DIR", raising=False)
+    calls = []
+    kernel = terms._merge_terms
+
+    def counting(identities):
+        calls.append(identities)
+        return kernel(identities)
+
+    monkeypatch.setattr(terms, "_merge_terms", counting)
+    code, _, err = run(capsys, "check", text, "-o", str(tmp_path), "--recheck")
+    assert code == 0, err
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("line", [
+    "affine-table | 99999999 | x",
+    "holds-mod | TwoTernary | p(x,x,y)=p(x,y,x) | 99999989 | p=x | q=x",
+])
+def test_manifest_modulus_above_its_bound_exit_2(line, tmp_path, capsys, monkeypatch):
+    manifest = tmp_path / "moduli.txt"
+    manifest.write_text(line + "\n")
+    for name in ("affine_terms", "verify_witness", "solve_mod"):
+        monkeypatch.setattr(reducts, name, never)
+    refused(capsys, "verify-paper", "--manifest", str(manifest))
+    code, out, err = run(capsys, "verify-paper", "--manifest", str(manifest))
+    assert err.startswith("error: line 1: modulus ") and err.endswith(" outside 2..64\n")
+
+
+def test_manifest_line_without_a_field_exit_2(tmp_path, capsys):
+    manifest = tmp_path / "short.txt"
+    manifest.write_text("holds-mod | TwoTernary\n")
+    code, out, err = run(capsys, "verify-paper", "--manifest", str(manifest))
+    assert (code, out, err) == (2, "", "error: line 1: holds-mod entry lacks its system field\n")

@@ -2,7 +2,9 @@ import itertools
 import random
 
 from conftest import block_of, orbit_images, random_system, refines
-from reference import bell_number, substitute_variable
+from reference import (
+    bell_number, canonicalize_every_element, first_largest_mark, substitute_variable,
+)
 
 import pytest
 
@@ -379,6 +381,62 @@ def test_canonical_blocks_marks_every_image_once(family):
         # a mark names its blocks
         named = frozenset(frozenset(b) for b in raw)
         assert seen.setdefault(block_mark(raw, size), named) == named
+
+
+@pytest.mark.parametrize(
+    "sig, nv", _kernel_universes(),
+    ids=lambda v: "".join(sorted(x.value for x in v)) if isinstance(v, frozenset) else str(v),
+)
+def test_canonical_blocks_with_singleton_blocks_matches_references(sig, nv):
+    # a block of one index has no successor, so it neither heads an image
+    # nor moves the ranking; the kernel reads the same element with or
+    # without its singletons
+    rng = random.Random(f"singletons {sorted(x.value for x in sig)} {nv}")
+    tables = symmetry_tables(sig, nv, frozenset())
+    size = len(tables.universe)
+    for _ in range(40 if nv == 2 else 12):
+        raw = _random_raw_blocks(rng, size)
+        used = {i for b in raw for i in b}
+        free = [i for i in range(size) if i not in used]
+        singles = [[i] for i in rng.sample(free, rng.randint(1, min(3, len(free))))] if free else []
+        # variables are the least indices: put one alone where it could
+        # reach below every head
+        if 0 in free and [0] not in singles:
+            singles.append([0])
+        mixed = singles + raw
+        rng.shuffle(mixed)
+        expected = _list_key_canonical_blocks(mixed, tables.perms)
+        got = canonical_blocks(mixed, tables)
+        assert got == expected
+        assert got[1] == first_largest_mark(mixed, tables)
+        assert got[1] == canonical_blocks(raw, tables)[1]
+
+
+_SIGNATURES = [frozenset(c) for r in range(1, 5) for c in itertools.combinations(Symbol, r)]
+
+
+def test_canonicalize_matches_rank_every_element_reference():
+    # ranking only the elements that reach the least head gives the same
+    # canonical system, signature and variable count as ranking every
+    # element; the ambient signature is unset, equal, wider or not covering
+    # 15 signatures x 140 systems
+    rng = random.Random("canonicalize reference")
+    for sig in _SIGNATURES:
+        outside = [x for x in Symbol if x not in sig]
+        for nv, count in ((2, 100), (3, 40)):
+            for n in range(count):
+                s = random_system(rng, sig, nv)
+                drop = rng.choice(sorted(sig, key=lambda x: x.order))
+                not_covering = frozenset(rng.sample(list(Symbol), rng.randint(0, 4))) - {drop}
+                ambients = [None, sig, not_covering]
+                if outside:
+                    ambients.append(sig | frozenset(rng.sample(outside, rng.randint(1, len(outside)))))
+                ambient = ambients[n % len(ambients)]
+                got = canonicalize(s, ambient)
+                want = canonicalize_every_element(s, ambient)
+                assert got == want, (format_system(s), ambient)
+                assert format_system(got) == format_system(want)
+                assert (got.signature, got.num_vars) == (want.signature, want.num_vars)
 
 
 def _reference_tables(signature, num_vars, fixed):
