@@ -1,12 +1,13 @@
 """Symmetry-reduced enumeration and classification of identity systems.
 
-Closures are Systems.  A two-variable system can hold in the majority
-algebra only if its closure refines a master closure: the one induced by
-assigning each symbol a witness type (a projection or, for ternary symbols,
-the majority class; all majority operations agree on two-variable argument
-patterns).  Enumeration therefore walks the set partitions of the block
-containing x in each master closure, mirrors being implied by renaming x and
-y.
+Closures are Systems.  A two-variable system holds in the majority algebra
+A exactly when its closure refines the kernel of some witness: a tuple of
+A's term operations, one per symbol, grouping the universe's terms by value
+vector (the height-1 view of Barto, Opršal and Pinsker, "The wonderland of
+reflections", 2018).  The distinct kernels over A's clone slices are the
+master closures.  Enumeration therefore walks the set partitions of the
+block containing x in each master closure, mirrors being implied by
+renaming x and y.
 
 Two symmetry reductions make the walk canonicalise each orbit once, and
 neither loses a class:
@@ -88,32 +89,18 @@ _FAMILY_SIGNATURES = {
 _WITNESS_ALGEBRA = alg.majority_a(3)
 
 
-def _witness_types(sym: Symbol) -> tuple[str, ...]:
-    if sym.arity == 3:
-        return ("pi1", "pi2", "pi3", "maj")
-    return ("pi1", "pi2")
-
-
-def _witness_op(sym: Symbol, type_name: str) -> alg.OperationTable:
-    m = _WITNESS_ALGEBRA.size
-    if type_name == "maj":
-        return _WITNESS_ALGEBRA.ops[0]
-    position = int(type_name[2:]) - 1
-    return alg.projection(m, sym.arity, position)
-
-
-def master_partitions(
-    family: Family,
-) -> list[tuple[tuple[tuple[Symbol, str], ...], System]]:
-    """Per witness-type assignment, the induced closure of the universe."""
+def master_partitions(family: Family) -> list[System]:
+    """The distinct kernels of A's term operations on the family universe,
+    in first-seen order: for every tuple of clone-slice operations, one per
+    symbol in symbol order, the closure grouping terms by value vector."""
     universe = family.universe
     symbols = sorted(family.signature, key=lambda s: s.order)
-    out = []
-    for combo in itertools.product(*[_witness_types(s) for s in symbols]):
-        witness = {s: _witness_op(s, t) for s, t in zip(symbols, combo)}
-        part = alg.induced_partition(witness, universe, _WITNESS_ALGEBRA)
-        out.append((tuple(zip(symbols, combo)), part))
-    return out
+    slices = [alg.clone_slice(_WITNESS_ALGEBRA, s.arity).ops for s in symbols]
+    masters: dict[System, None] = {}
+    for ops in itertools.product(*slices):
+        witness = dict(zip(symbols, ops))
+        masters.setdefault(alg.induced_partition(witness, universe, _WITNESS_ALGEBRA))
+    return list(masters)
 
 
 def _xblock_orbit_representatives(
@@ -125,7 +112,7 @@ def _xblock_orbit_representatives(
     """
     universe, perms = tables.universe, tables.perms
     reps: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for _types, master in master_partitions(family):
+    for master in master_partitions(family):
         xterms = next(b for b in master.blocks() if Var(0) in b)
         xblock = tuple(map(universe.index, xterms))
         orbit = min(tuple(sorted(perm[i] for i in xblock)) for perm in perms)
@@ -145,7 +132,7 @@ def enumerate_family(family: Family) -> tuple[System, ...]:
     reduction drops a class: a skipped partition lies in an orbit already
     reached.
     """
-    tables = symmetry_tables(family.signature, 2, frozenset())
+    tables = symmetry_tables(family.signature, 2)
     universe = tables.universe
     size = len(universe)
     marked: set[int] = set()
@@ -386,7 +373,7 @@ class ManifestEntry:
     family: Optional[Family]
     system: Optional[System]
     modulus: Optional[int] = None
-    witness: tuple[tuple[Symbol, str], ...] = ()
+    witness: tuple[tuple[Symbol, reducts.AffineTerm], ...] = ()
     expected_systems: tuple[System, ...] = ()
     table_terms: tuple[str, ...] = ()
 
@@ -423,13 +410,16 @@ _ENTRY_FIELDS = {
 MAX_MANIFEST_MODULUS = 64
 
 
-def _parse_witness_fields(fields: Sequence[str]) -> tuple[tuple[Symbol, str], ...]:
+def _parse_witness_fields(
+    fields: Sequence[str], modulus: int
+) -> tuple[tuple[Symbol, reducts.AffineTerm], ...]:
     out = []
     for field in fields:
         if "=" not in field:
             raise ValueError(f"expected sym=term, got {field!r}")
         name, term = field.split("=", 1)
-        out.append((Symbol(name.strip()), term.strip()))
+        sym = Symbol(name.strip())
+        out.append((sym, reducts.parse_affine(term.strip(), modulus, sym.arity)))
     return tuple(out)
 
 
@@ -442,9 +432,19 @@ def _parse_modulus(text: str, line_no: int) -> int:
     return n
 
 
-def parse_manifest(text: str) -> tuple[ManifestEntry, ...]:
-    from .terms import parse_system
+def _parse_family_system(text: str, family: Family) -> System:
+    """A system in the family's universe: its symbols over x and y."""
+    from .terms import format_system, parse_system
 
+    s = parse_system(text)
+    if not s.signature <= family.signature or s.num_vars != 2:
+        raise ValueError(
+            f"system {format_system(s)!r} outside the {family.value} universe"
+        )
+    return s
+
+
+def parse_manifest(text: str) -> tuple[ManifestEntry, ...]:
     entries = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -473,14 +473,13 @@ def parse_manifest(text: str) -> tuple[ManifestEntry, ...]:
                         ),
                     )
                 )
-            elif kind == "zero-candidates":
-                entries.append(
-                    ManifestEntry(line_no, kind, Family.parse(fields[1]), None)
-                )
+                continue
+            fam = Family.parse(fields[1])
+            if kind == "zero-candidates":
+                entries.append(ManifestEntry(line_no, kind, fam, None))
             elif kind == "minimal-candidates":
-                fam = Family.parse(fields[1])
                 expected = tuple(
-                    parse_system(part.strip())
+                    _parse_family_system(part, fam)
                     for part in fields[2].split("&&")
                     if part.strip()
                 ) if len(fields) > 2 else ()
@@ -488,31 +487,24 @@ def parse_manifest(text: str) -> tuple[ManifestEntry, ...]:
                     ManifestEntry(line_no, kind, fam, None, expected_systems=expected)
                 )
             elif kind == "holds-mod":
+                s = _parse_family_system(fields[2], fam)
+                n = _parse_modulus(fields[3], line_no)
                 entries.append(
                     ManifestEntry(
-                        line_no,
-                        kind,
-                        Family.parse(fields[1]),
-                        parse_system(fields[2]),
-                        modulus=_parse_modulus(fields[3], line_no),
-                        witness=_parse_witness_fields(fields[4:]),
+                        line_no, kind, fam, s, modulus=n,
+                        witness=_parse_witness_fields(fields[4:], n),
                     )
                 )
             elif kind == "projections":
+                s = _parse_family_system(fields[2], fam)
                 entries.append(
                     ManifestEntry(
-                        line_no,
-                        kind,
-                        Family.parse(fields[1]),
-                        parse_system(fields[2]),
-                        witness=_parse_witness_fields(fields[3:]),
+                        line_no, kind, fam, s, witness=_parse_witness_fields(fields[3:], 5)
                     )
                 )
             else:
                 entries.append(
-                    ManifestEntry(
-                        line_no, kind, Family.parse(fields[1]), parse_system(fields[2])
-                    )
+                    ManifestEntry(line_no, kind, fam, _parse_family_system(fields[2], fam))
                 )
         except ManifestError:
             raise
@@ -588,11 +580,7 @@ def _check_entry(
     s = entry.system
     if entry.kind == "holds-mod":
         n = entry.modulus
-        wit = {
-            sym: reducts.parse_affine(text, n, sym.arity)
-            for sym, text in entry.witness
-        }
-        ok = reducts.verify_witness(s, n, wit)
+        ok = reducts.verify_witness(s, n, dict(entry.witness))
         solved = reducts.solve_mod(reducts.coefficient_system(s), n)
         detail = "witness verified by substitution" if ok else "witness fails substitution"
         if solved is None:
@@ -600,11 +588,7 @@ def _check_entry(
             detail += "; solver finds the system unsatisfiable at this modulus"
         return Finding(entry, ok, detail)
     if entry.kind == "projections":
-        wit = {
-            sym: reducts.parse_affine(text, 5, sym.arity)
-            for sym, text in entry.witness
-        }
-        ok = reducts.verify_witness(s, 5, wit)
+        ok = reducts.verify_witness(s, 5, dict(entry.witness))
         return Finding(entry, ok, "projection pair verified" if ok else "projection pair fails")
     if entry.kind == "projections-exist":
         ok = _projection_witness_exists(s)

@@ -145,10 +145,13 @@ def recheck_certificate(cert: dict, s) -> bool:
 
 
 def _cmd_check(args, cfg: RunConfig) -> int:
-    text = args.system
-    if os.path.exists(text):
-        text = Path(text).read_text(encoding="utf-8")
-    s = parse_system(text)
+    # DSL text wins over a file of the same name
+    try:
+        s = parse_system(args.system)
+    except ParseError:
+        if not os.path.exists(args.system):
+            raise
+        s = parse_system(Path(args.system).read_text(encoding="utf-8"))
     for warning in s.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     cert = check_certificate(s, cfg)

@@ -448,24 +448,20 @@ def _term_image(
 
 
 @functools.lru_cache(maxsize=None)
-def symmetry_tables(
-    signature: frozenset[Symbol], num_vars: int, fixed: frozenset[Symbol]
-) -> SymmetryTables:
+def symmetry_tables(signature: frozenset[Symbol], num_vars: int) -> SymmetryTables:
     """The symmetry group of signature over num_vars variables, built on
     first use.
 
     Elements run, in this nesting order, over the variable permutations,
     the argument permutations of each symbol in signature, and the p<->q
     and t<->s swaps of pairs inside signature; the identity comes first.
-    Order 2*6*6*2 = 144 for two ternary symbols over two variables.  The
-    universe also covers the symbols in fixed: the group keeps their
-    letters and argument order and only renames their variables.
+    Order 2*6*6*2 = 144 for two ternary symbols over two variables.
 
     Each factor is one index table, and an element is the composite
     var[swap[args[i]]]: its argument permutations act first, on the
     original symbols, then the swaps, then the variable renaming.
     """
-    universe = term_universe(signature | fixed, num_vars)
+    universe = term_universe(signature, num_vars)
     no_args = {sym: tuple(range(sym.arity)) for sym in Symbol}
     no_swap = {sym: sym for sym in Symbol}
 
@@ -476,8 +472,6 @@ def symmetry_tables(
         )
 
     def arg_tables(sym: Symbol) -> list[tuple[int, ...]]:
-        if sym not in signature:
-            return [table()]
         return [
             table(arg_perms={**no_args, sym: perm})
             for perm in itertools.permutations(range(sym.arity))
@@ -486,11 +480,12 @@ def symmetry_tables(
     def swaps(a: Symbol, b: Symbol) -> list[dict[Symbol, Symbol]]:
         return [{}, {a: b, b: a}] if {a, b} <= signature else [{}]
 
+    symbols = sorted(signature, key=lambda sym: sym.order)
     var_tables = [table(var_perm=p) for p in itertools.permutations(range(num_vars))]
     # each symbol's tables move only its own terms, so they compose in any order
     args_tables = [
-        tuple(functools.reduce(lambda acc, t: [t[i] for i in acc], parts))
-        for parts in itertools.product(*map(arg_tables, Symbol))
+        tuple(functools.reduce(lambda acc, t: [t[i] for i in acc], parts, range(len(universe))))
+        for parts in itertools.product(*map(arg_tables, symbols))
     ]
     swap_maps = [
         {sym: pq.get(sym, ts.get(sym, sym)) for sym in Symbol}
@@ -638,10 +633,14 @@ def canonicalize(s: System, signature: Optional[Iterable[Symbol]] = None) -> Sys
     The ambient signature defaults to the system's own; pass the family
     signature to canonicalise within a larger group.  The canonical form
     keeps s's num_vars, and its signature is the image of s's under the
-    first group element reaching it.
+    first group element reaching it.  ValueError if the ambient signature
+    lacks a symbol of s's.
     """
     sig = frozenset(signature) if signature is not None else s.signature
-    tables = symmetry_tables(sig, s.num_vars, s.signature - sig)
+    missing = sorted(sym.value for sym in s.signature - sig)
+    if missing:
+        raise ValueError(f"ambient signature lacks {', '.join(missing)}")
+    tables = symmetry_tables(sig, s.num_vars)
     terms, index = tables.universe.terms, tables.universe.index
     blocks = [[index(t) for t in block] for block in s.blocks()]
     _key, k, moved = canonical_blocks(blocks, tables)

@@ -25,7 +25,7 @@ def orbit_images(s, signature=None, elements=None):
     s's own), one per group element in table order, or only those at the
     positions in elements."""
     sig = frozenset(signature) if signature is not None else s.signature
-    tables = symmetry_tables(sig, s.num_vars, s.signature - sig)
+    tables = symmetry_tables(sig, s.num_vars)
     u = tables.universe
     blocks = [[u.index(t) for t in block] for block in s.blocks()]
     if elements is None:

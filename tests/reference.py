@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from linid.algebra import FiniteAlgebra
+from linid.algebra import FiniteAlgebra, induced_partition, majority_a, projection
 from linid.classify import Family, classify_system
 from linid.reducts import affine_coefficients
 from linid.terms import (
@@ -110,7 +110,7 @@ def first_largest_mark(blocks: Sequence[Sequence[int]], tables: SymmetryTables) 
 def canonicalize_every_element(s: System, signature=None) -> System:
     """canonicalize, with the image chosen by first_largest_mark."""
     sig = frozenset(signature) if signature is not None else s.signature
-    tables = symmetry_tables(sig, s.num_vars, s.signature - sig)
+    tables = symmetry_tables(sig, s.num_vars)
     u = tables.universe
     blocks = [[u.index(t) for t in block] for block in s.blocks()]
     k = first_largest_mark(blocks, tables)
@@ -123,6 +123,30 @@ def canonicalize_every_element(s: System, signature=None) -> System:
 
 
 # ---------------------------------------------------------------------------
+# The master closures from witness types, as the library built them before
+# it took the kernels of A's clone slices
+# ---------------------------------------------------------------------------
+
+
+def witness_type_masters(family: Family) -> list[System]:
+    """Per assignment of a witness type to each symbol (a projection or, for
+    a ternary symbol, A's majority operation), the closure it induces on the
+    family universe.  That these are all of A's kernels rests on a lemma:
+    every majority operation agrees on two-variable argument patterns."""
+    a = majority_a(3)
+    symbols = sorted(family.signature, key=lambda s: s.order)
+
+    def types(sym: Symbol) -> list:
+        pis = [projection(a.size, sym.arity, i) for i in range(sym.arity)]
+        return pis + [a.ops[0]] if sym.arity == 3 else pis
+
+    return [
+        induced_partition(dict(zip(symbols, ops)), family.universe, a)
+        for ops in itertools.product(*map(types, symbols))
+    ]
+
+
+# ---------------------------------------------------------------------------
 # The unpruned enumeration oracle
 # ---------------------------------------------------------------------------
 
@@ -131,7 +155,7 @@ def brute_force_candidates(family: Family) -> tuple[System, ...]:
     """Oracle: classify every partition of the whole universe, no pruning.
 
     Feasible for the binary families and SingleTernary (Bell(4), Bell(6)
-    and Bell(8) partitions); validates that witness-type pruning loses no
+    and Bell(8) partitions); validates that master-closure pruning loses no
     candidates.
     """
     universe = family.universe

@@ -213,7 +213,7 @@ def test_criterion_9_property_suites():
         "cross-oracle, refinement monotonicity, canonical idempotence",
     ):
         rng = random.Random(20240817)
-        group_order = len(symmetry_tables(PQ, 2, frozenset()).perms)
+        group_order = len(symmetry_tables(PQ, 2).perms)
 
         # symmetry invariance of the full classification on 1000 random pairs
         for _ in range(1000):

@@ -228,7 +228,7 @@ def test_trivial_identity_system():
 
 def test_holds_in_symmetry_invariance():
     rng = random.Random(17)
-    group_order = len(symmetry_tables(PQ, 2, frozenset()).perms)
+    group_order = len(symmetry_tables(PQ, 2).perms)
     b, a = semilattice_b(), majority_a(3)
     systems = [
         parse_system(S4),

@@ -2,15 +2,17 @@ import json
 import random
 
 from conftest import PQ, block_of, orbit_images, random_system
-from reference import brute_force_candidates, partition_weakenings
+from reference import brute_force_candidates, partition_weakenings, witness_type_masters
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from linid import classify, reducts, terms
 from linid.classify import (
     Family,
     MAX_MANIFEST_MODULUS,
     ManifestError,
+    VerifyReport,
     candidate_weakenings,
     classify_system,
     enumerate_family,
@@ -52,27 +54,27 @@ def test_family_parsing():
 
 
 def test_master_partitions_two_ternary():
-    masters = dict(master_partitions(Family.TWO_TERNARY))
+    masters = master_partitions(Family.TWO_TERNARY)
     assert len(masters) == 16
     u = Family.TWO_TERNARY.universe
+    xblocks = {frozenset(map(str, block_of(part, Var(0)))) for part in masters}
 
-    key = ((Symbol.P, "pi1"), (Symbol.Q, "maj"))
-    part = masters[key]
-    assert {str(t) for t in block_of(part, Var(0))} == {
+    # p read as the first projection, q as the majority operation
+    assert {
         "x", "p(x,x,y)", "p(x,y,y)", "p(x,y,x)",
         "q(x,x,y)", "q(x,y,x)", "q(y,x,x)",
-    }
+    } in xblocks
     # every master splits the universe into the x side and the mirrored y side
-    for part in masters.values():
+    for part in masters:
         assert len(part.blocks()) == 2
         assert all(len(b) == 7 for b in part.blocks())
         assert (part.num_vars, part.signature) == (2, u.signature)
 
-    key = ((Symbol.P, "maj"), (Symbol.Q, "maj"))
-    assert {str(t) for t in block_of(masters[key], Var(0))} == {
+    # both read as the majority operation
+    assert {
         "x", "p(x,x,y)", "p(x,y,x)", "p(y,x,x)",
         "q(x,x,y)", "q(x,y,x)", "q(y,x,x)",
-    }
+    } in xblocks
 
 
 def test_master_partition_counts_other_families():
@@ -80,6 +82,25 @@ def test_master_partition_counts_other_families():
     assert len(master_partitions(Family.TWO_BINARY)) == 4
     assert len(master_partitions(Family.SINGLE_TERNARY)) == 4
     assert len(master_partitions(Family.BINARY_PLUS_TERNARY)) == 8
+
+
+@pytest.mark.parametrize(
+    "family, count",
+    [
+        (Family.TWO_TERNARY, 16),
+        (Family.SINGLE_TERNARY, 4),
+        (Family.BINARY_PLUS_TERNARY, 8),
+        (Family.SINGLE_BINARY, 2),
+        (Family.TWO_BINARY, 4),
+    ],
+)
+def test_master_partitions_match_witness_types(family, count):
+    # the kernels of A's clone-slice witnesses are the closures of the
+    # witness types, without the lemma that majority operations agree on
+    # two-variable argument patterns
+    masters = master_partitions(family)
+    assert len(masters) == len(set(masters)) == count
+    assert set(masters) == set(witness_type_masters(family))
 
 
 def test_enumerate_contains_the_three_candidates():
@@ -95,7 +116,7 @@ def test_enumerate_contains_the_three_candidates():
 def unreduced_enumeration(family):
     """Reference: canonicalise every raw partition of every master x-block."""
     raw = set()
-    for _types, master in master_partitions(family):
+    for master in master_partitions(family):
         for parts in set_partitions(block_of(master, Var(0))):
             raw.add(system_from_blocks(parts, 2, family.signature))
     canonical = {canonicalize(s, family.signature) for s in raw}
@@ -162,17 +183,16 @@ def test_ring_decision_diagonalises_each_column_suffix_once(monkeypatch):
 
 
 def test_ternary_term_operations_of_a_induce_master_partitions():
-    # the pruning lemma: on two variables every ternary term operation of A
-    # groups terms as some witness type does, so enumeration need only walk
-    # the master partitions
+    # each ternary term operation of A groups the terms as some witness type
+    # does: 6 operations, 4 kernels
     a = majority_a(3)
     family = Family.SINGLE_TERNARY
-    masters = {part for _types, part in master_partitions(family)}
+    masters = set(master_partitions(family))
     ops = clone_slice(a, 3).ops
     induced = {induced_partition({Symbol.P: op}, family.universe, a) for op in ops}
     assert len(ops) == 6
     assert len(induced) == 4
-    assert induced <= masters
+    assert induced == masters == set(witness_type_masters(family))
 
 
 def test_enumerate_single_binary_contents():
@@ -212,7 +232,7 @@ def test_classify_examples():
 def test_classification_symmetry_invariance_sample():
     rng = random.Random(41)
     signature = Family.TWO_TERNARY.signature
-    group_order = len(symmetry_tables(signature, 2, frozenset()).perms)
+    group_order = len(symmetry_tables(signature, 2).perms)
     for text in (S4, S5, S7, MASTER2, MASTER6):
         s = parse_system(text)
         base = classify_system(s)
@@ -372,7 +392,7 @@ def test_zero_candidate_families(family):
     "family", [Family.SINGLE_BINARY, Family.TWO_BINARY, Family.SINGLE_TERNARY]
 )
 def test_brute_force_oracle_matches_pruned_enumeration(family):
-    # classify every partition of the full universe, no witness-type pruning
+    # classify every partition of the full universe, no master-closure pruning
     brute = set(brute_force_candidates(family))
     pruned = {
         c.system for c in minimal_candidates(family).candidates
@@ -402,6 +422,8 @@ def test_manifest_parser_errors():
     )
     assert len(entries) == 1
     assert entries[0].modulus == 2
+    # a system over some of its family's symbols lies in the family universe
+    assert parse_manifest("fails-in-b | TwoTernary | x=p(x,y,y)")[0].system.signature == {Symbol.P}
 
 
 # one complete line per entry kind; dropping its last field leaves a line
@@ -452,3 +474,96 @@ def test_verify_paper_witness_mismatch_detected():
     bad = "holds-mod | TwoTernary | p(x,x,y)=p(x,y,y) | 5 | p=2x+2y+2z | q=x\n"
     report = verify_paper(bad)
     assert not report.ok
+
+
+def test_manifest_witness_terms_are_parsed_once_and_print_as_written():
+    # every bundled witness text is the str of the term parsed from it
+    text = classify.default_manifest_text()
+    lines = [line for line in text.splitlines() if line.split("#", 1)[0].strip()]
+    printed = 0
+    for line, entry in zip(lines, parse_manifest(text), strict=True):
+        fields = [f.strip() for f in line.split("#", 1)[0].split("|")]
+        first = {"holds-mod": 4, "projections": 3}.get(entry.kind, len(fields))
+        assert [f"{sym.value}={term}" for sym, term in entry.witness] == fields[first:]
+        for sym, term in entry.witness:
+            assert isinstance(term, reducts.AffineTerm)
+            assert (term.arity, term.modulus) == (sym.arity, entry.modulus or 5)
+            printed += 1
+    assert printed == 108
+
+
+@pytest.mark.parametrize("line, message", [
+    ("holds-mod | TwoTernary | x=p(x,y,y) | 5 | p=0x | q=x",
+     "coefficients (0, 0, 0) do not sum to 1 mod 5"),
+    ("projections | BinaryPlusTernary | t(x,y)=x | t=z", "bad variable in affine term 'z'"),
+    ("projections | TwoTernary | x=p(x,y,y) | r=x", "'r' is not a valid Symbol"),
+], ids=["zero-sum", "bad-variable", "unknown-symbol"])
+def test_manifest_bad_witness_term_names_its_line(line, message):
+    with pytest.raises(ManifestError) as info:
+        parse_manifest("holds-mod | TwoTernary | x=p(x,y,y) | 5 | p=x\n" + line)
+    assert str(info.value) == f"line 2: {message}"
+
+
+# the ledger's entry kinds, which check one system or table each
+_LEDGER_KINDS = ("holds-mod", "projections", "projections-exist", "fails-in-b", "ring-unsat", "affine-table")
+_ARITY = {"p": 3, "q": 3, "t": 2, "s": 2}
+_junk = st.text(alphabet="xyzpqtsr(),=;+-0123456789 |&#", max_size=12)
+
+
+@st.composite
+def _ledger_lines(draw):
+    """A one-line manifest: mostly well formed over its family, with moduli
+    up to 7, some foreign terms, witnesses that may not sum to 1, and each
+    field now and then junk."""
+    kind = draw(st.sampled_from(_LEDGER_KINDS))
+    n = draw(st.integers(-1, 7))
+
+    def junk_or(text):
+        return draw(_junk) if draw(st.integers(0, 5)) == 0 else text
+
+    def affine(arity, modulus):
+        coeffs = draw(st.lists(st.integers(0, 9), min_size=arity, max_size=arity))
+        if modulus >= 2 and draw(st.booleans()):
+            coeffs[-1] = (1 - sum(coeffs[:-1])) % modulus
+        return "+".join(v if c == 1 else f"{c}{v}" for c, v in zip(coeffs, "xyz") if c) or "0x"
+
+    if kind == "affine-table":
+        terms = ", ".join(affine(3, n) for _ in range(draw(st.integers(0, 4))))
+        fields = [junk_or(str(n)), junk_or(terms)]
+    else:
+        family = draw(st.sampled_from(Family))
+        letters = sorted(sym.value for sym in family.signature)
+        pool = ["x", "y"] + 3 * letters + ["z", "q", "t"]
+
+        def term():
+            name = draw(st.sampled_from(pool))
+            if name in "xyz":
+                return name
+            args = draw(st.lists(st.sampled_from("xy"), min_size=_ARITY[name], max_size=_ARITY[name]))
+            return f"{name}({','.join(args)})"
+
+        chains = ["=".join(term() for _ in range(draw(st.integers(2, 3))))
+                  for _ in range(draw(st.integers(1, 3)))]
+        fields = [junk_or(family.value), junk_or("; ".join(chains))]
+        if kind == "holds-mod":
+            fields.append(junk_or(str(n)))
+        if kind in ("holds-mod", "projections"):
+            modulus = n if kind == "holds-mod" else 5
+            fields += [junk_or(f"{l}={affine(_ARITY[l], modulus)}") for l in letters]
+    if draw(st.integers(0, 9)) == 0:
+        fields.pop()
+    if draw(st.integers(0, 9)) == 0:
+        fields.append(draw(_junk))
+    return " | ".join([kind, *fields])
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@example("holds-mod | TwoTernary | x=p(x,y,y) | 5 | p=0x | q=x")
+@given(_ledger_lines())
+def test_fuzzed_ledger_line_gives_a_report_or_a_manifest_error(line):
+    try:
+        report = verify_paper(line)
+    except ManifestError as exc:
+        assert str(exc).startswith("line 1: ") and "\n" not in str(exc)
+    else:
+        assert isinstance(report, VerifyReport) and len(report.findings) <= 1

@@ -24,6 +24,24 @@ GOLDEN_SHA256 = {
         "3c129dc434fadd08222c4d0c7044c5c161cabff13ae4f9c4a40eaf58ea9bdc3c",
     ("minimal", "TwoTernary", "--format", "both"):
         "55b8cd4c81b5342f0e81009a2264c58361430a7a1c35063b9ac027917fec3fef",
+    ("minimal", "SingleTernary", "--format", "both"):
+        "89ba13849da32a54ad902156529c0132fe7cf779b07ea40938cba1d2b18048d4",
+    ("minimal", "BinaryPlusTernary", "--format", "both"):
+        "6cedc400e352958e2a05e3aa4f2eefe205f0434dffae209cc1269c56e8ba6208",
+    ("minimal", "SingleBinary", "--format", "both"):
+        "755465a0f6552d7561eca81d3df6045d755f3a97e46841c51baa8cb8415ee823",
+    ("minimal", "TwoBinary", "--format", "both"):
+        "d17c6903e665f0b57d8ddee81ccf40fd741d5291db740c4d65e979c99db30aef",
+    ("enumerate", "TwoTernary"):
+        "fa67dae313185ecd1ed136648729267cf266201138a82cb0ec06e833e5740a4e",
+    ("enumerate", "SingleTernary"):
+        "22f6c32ac4840c9f7fbf61b3552e1eeb17da3d7cabbe5fa76f92963cc917b19f",
+    ("enumerate", "BinaryPlusTernary"):
+        "08593c74052e7ed83808aa8054e382df48bf4e15c0878ad4fb01ec583496d108",
+    ("enumerate", "SingleBinary"):
+        "1f3da14bafae9a8f5c0303363b5022dbdc060c0087d044c2b643bdfc8887f549",
+    ("enumerate", "TwoBinary"):
+        "916649dd8c327fef06fa6379d3cdfae6465fe613334413d1c2a791d9cf2d4188",
 }
 
 # the certificate file name and the sha256 of the standard output of `check
@@ -101,6 +119,18 @@ def test_check_reads_from_file(tmp_path, capsys):
     assert data["system"] == ""
     assert data["is_candidate"] is False
     assert "dropped trivial identity" in err
+
+
+def test_check_reads_dsl_before_a_file_of_the_same_name(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x=y").write_text("")
+    code, out, _ = run(capsys, "check", "x=y")
+    assert code == 0
+    assert json.loads(out)["canonical_system"] == "x=y"
+    # text that is not DSL and names no file still fails to parse
+    code, out, err = run(capsys, "check", "system.txt")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_check_parse_error_exit_2(capsys):
@@ -261,7 +291,34 @@ def test_minimal_entry_outside_its_family_exit_2(tmp_path, capsys):
     manifest = tmp_path / "foreign.txt"
     manifest.write_text("minimal | SingleTernary | " + S4 + "\n")
     code, out, err = run(capsys, "verify-paper", "--manifest", str(manifest))
-    assert (code, out, err) == (2, "", "error: term q(x,x,y) outside universe\n")
+    assert (code, out, err) == (
+        2, "", f"error: line 1: system {S4!r} outside the SingleTernary universe\n"
+    )
+
+
+# a system outside its family's universe, one line per entry kind; the
+# minimal-candidates line exited 1 and the holds-mod line 0 before the
+# universe was checked, and the minimal line failed only after its work
+@pytest.mark.parametrize("line", [
+    "holds-mod | SingleBinary | x=p(x,y,y) | 5 | p=x",
+    "projections | SingleTernary | x=q(x,y,y) | q=x",
+    "projections-exist | TwoBinary | x=t(x,z)",
+    "fails-in-b | SingleTernary | x=t(x,y)",
+    "ring-unsat | BinaryPlusTernary | x=q(x,x,y)",
+    "minimal | TwoTernary | p(x,x,y)=p(x,y,y); p(x,x,z)=p(x,z,x); "
+    "p(x,y,x)=q(x,x,y)=q(x,y,x)=q(y,x,x)",
+    "minimal-candidates | SingleTernary | x=t(x,y)",
+], ids=lambda line: line.split(" ")[0])
+def test_manifest_system_outside_its_family_exit_2(line, tmp_path, capsys, monkeypatch):
+    manifest = tmp_path / "foreign.txt"
+    manifest.write_text("# header\n" + line + "\n")
+    monkeypatch.setattr(cli.classify, "enumerate_family", never)
+    monkeypatch.setattr(reducts, "solve_mod", never)
+    monkeypatch.setattr(reducts, "solve_some_finite_ring", never)
+    _kind, family, text = line.split(" | ")[:3]
+    assert run(capsys, "verify-paper", "--manifest", str(manifest)) == (
+        2, "", f"error: line 2: system {text!r} outside the {family} universe\n"
+    )
 
 
 def test_minimal_writes_reports_and_candidate_certificates(tmp_path, capsys):

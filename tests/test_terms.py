@@ -198,7 +198,7 @@ def test_symmetry_group_sizes():
         (frozenset((Symbol.P, Symbol.T)), 2): 24,
     }
     for (sig, nv), order in orders.items():
-        assert len(symmetry_tables(sig, nv, frozenset()).perms) == order
+        assert len(symmetry_tables(sig, nv).perms) == order
 
 
 def test_symmetry_group_laws():
@@ -206,7 +206,7 @@ def test_symmetry_group_laws():
     # closure is what makes orbit marking lossless
     cases = [(family.signature, 2) for family in Family] + [(PQ, 3)]
     for sig, nv in cases:
-        perms = symmetry_tables(sig, nv, frozenset()).perms
+        perms = symmetry_tables(sig, nv).perms
         indices = tuple(range(len(perms[0])))
         assert perms[0] == indices
         assert all(tuple(sorted(perm)) == indices for perm in perms)
@@ -220,7 +220,7 @@ def test_symmetry_group_laws():
 
 def test_apply_symmetry_group_action_on_systems():
     # mapping a system's closure by h and then by g is mapping it by g after h
-    tables = symmetry_tables(PQ, 2, frozenset())
+    tables = symmetry_tables(PQ, 2)
     u, perms = tables.universe, tables.perms
     closure = parse_system(S4)
 
@@ -240,7 +240,7 @@ def test_apply_symmetry_group_action_on_systems():
 def test_argument_permutation_fixes_system_4():
     # permuting the arguments of q cyclically rewrites the chain but generates
     # the same equivalence, so the system is a fixed point of the action
-    tables = symmetry_tables(PQ, 2, frozenset())
+    tables = symmetry_tables(PQ, 2)
     u = tables.universe
     closure = parse_system(S4)
     for cycle in ((2, 0, 1), (1, 2, 0)):
@@ -273,6 +273,10 @@ def test_canonicalize_is_first_orbit_minimum():
     cases = [(PQ, PQ, 2)] * 20 + [(PQ, PQ, 3)] * 6 + [(PT, PT, 2)] * 8 + [(PT, P, 2)] * 4
     for sig, ambient, nv in cases:
         s = random_system(rng, sig, nv)
+        if not sig <= ambient:
+            with pytest.raises(ValueError, match="^ambient signature lacks t$"):
+                canonicalize(s, ambient)
+            continue
         best = min(orbit_images(s, ambient), key=system_key)
         canons = [canonicalize(s, ambient)] + ([canonicalize(s)] if ambient == sig else [])
         for canon in canons:
@@ -281,12 +285,11 @@ def test_canonicalize_is_first_orbit_minimum():
 
 
 def test_canonicalize_keeps_num_vars_and_maps_signature():
-    # the signature is the image of the system's own; a symbol outside the
-    # ambient signature keeps its letter and argument order
+    # the signature is the image of the system's own; an ambient signature
+    # lacking one of its symbols is refused
     three_vars = system(parse_system("q(x,y,y)=x").identities, num_vars=3, signature=PQ)
     cases = [
         (parse_system("x=q(x,y,x)"), PQ, "x=p(x,x,y)", "p", 2),
-        (parse_system("q(x,x,y)=t(y,x)"), PQ, "p(x,x,y)=t(y,x)", "pt", 2),
         (parse_system("x=s(x,y)"), None, "x=s(x,y)", "s", 2),
         (three_vars, PQ, "x=p(x,y,y)", "pq", 3),
         (three_vars, None, "x=p(x,y,y)", "pq", 3),
@@ -296,6 +299,10 @@ def test_canonicalize_keeps_num_vars_and_maps_signature():
         assert format_system(canon) == text
         assert canon.signature == {Symbol(c) for c in letters}
         assert canon.num_vars == nv
+    with pytest.raises(ValueError, match="^ambient signature lacks t$"):
+        canonicalize(parse_system("q(x,x,y)=t(y,x)"), PQ)
+    with pytest.raises(ValueError, match="^ambient signature lacks q$"):
+        canonicalize(three_vars, {Symbol.P})
 
 
 def _random_raw_blocks(rng, size):
@@ -336,7 +343,7 @@ def test_canonical_blocks_matches_list_key_reference(sig, nv):
     # the integer ranking picks the same key, element and moved blocks as
     # ranking chain-pair lists, with no blocks, one block or several
     rng = random.Random(f"kernel {sorted(x.value for x in sig)} {nv}")
-    tables = symmetry_tables(sig, nv, frozenset())
+    tables = symmetry_tables(sig, nv)
     size = len(tables.universe)
     draws = [[]] + [_random_raw_blocks(rng, size) for _ in range(40 if nv == 2 else 12)]
     rows = {}
@@ -368,7 +375,7 @@ def test_block_mark_reverses_chain_pair_order():
 def test_canonical_blocks_marks_every_image_once(family):
     # reference: map the raw blocks through each permutation, then mark
     rng = random.Random(f"marks {family.value}")
-    tables = symmetry_tables(family.signature, 2, frozenset())
+    tables = symmetry_tables(family.signature, 2)
     perms, size = tables.perms, len(tables.universe)
     seen = {}
     for _ in range(60):
@@ -392,7 +399,7 @@ def test_canonical_blocks_with_singleton_blocks_matches_references(sig, nv):
     # nor moves the ranking; the kernel reads the same element with or
     # without its singletons
     rng = random.Random(f"singletons {sorted(x.value for x in sig)} {nv}")
-    tables = symmetry_tables(sig, nv, frozenset())
+    tables = symmetry_tables(sig, nv)
     size = len(tables.universe)
     for _ in range(40 if nv == 2 else 12):
         raw = _random_raw_blocks(rng, size)
@@ -418,8 +425,8 @@ _SIGNATURES = [frozenset(c) for r in range(1, 5) for c in itertools.combinations
 def test_canonicalize_matches_rank_every_element_reference():
     # ranking only the elements that reach the least head gives the same
     # canonical system, signature and variable count as ranking every
-    # element; the ambient signature is unset, equal, wider or not covering
-    # 15 signatures x 140 systems
+    # element; the ambient signature is unset, equal or wider, and one that
+    # does not cover the system's is refused; 15 signatures x 140 systems
     rng = random.Random("canonicalize reference")
     for sig in _SIGNATURES:
         outside = [x for x in Symbol if x not in sig]
@@ -432,6 +439,10 @@ def test_canonicalize_matches_rank_every_element_reference():
                 if outside:
                     ambients.append(sig | frozenset(rng.sample(outside, rng.randint(1, len(outside)))))
                 ambient = ambients[n % len(ambients)]
+                if ambient is not_covering:
+                    with pytest.raises(ValueError, match="^ambient signature lacks "):
+                        canonicalize(s, ambient)
+                    continue
                 got = canonicalize(s, ambient)
                 want = canonicalize_every_element(s, ambient)
                 assert got == want, (format_system(s), ambient)
@@ -439,9 +450,9 @@ def test_canonicalize_matches_rank_every_element_reference():
                 assert (got.signature, got.num_vars) == (want.signature, want.num_vars)
 
 
-def _reference_tables(signature, num_vars, fixed):
+def _reference_tables(signature, num_vars):
     """Each element's index permutation and symbol map, term by term."""
-    universe = term_universe(signature | fixed, num_vars)
+    universe = term_universe(signature, num_vars)
 
     def arg_perms(sym):
         ident = tuple(range(sym.arity))
@@ -468,23 +479,17 @@ def _reference_tables(signature, num_vars, fixed):
 
 
 def test_symmetry_tables_compose_to_term_images():
-    # every signature, fixed set and variable count: the composed factor
-    # tables equal mapping each term by each element
-    for r in range(1, 5):
+    # every signature, the empty one included, and variable count: the
+    # composed factor tables equal mapping each term by each element
+    for r in range(len(Symbol) + 1):
         for sig in map(frozenset, itertools.combinations(Symbol, r)):
-            rest = [sym for sym in Symbol if sym not in sig]
-            fixed_sets = [
-                frozenset(c) for k in range(len(rest) + 1)
-                for c in itertools.combinations(rest, k)
-            ]
-            for fixed in fixed_sets:
-                for nv in (2, 3):
-                    tables = symmetry_tables(sig, nv, fixed)
-                    universe, perms, symbol_maps = _reference_tables(sig, nv, fixed)
-                    assert tables.universe == universe
-                    assert tables.perms == perms
-                    assert list(tables.symbol_maps) == symbol_maps
-                    assert tables.columns == tuple(zip(*perms))
+            for nv in (2, 3):
+                tables = symmetry_tables(sig, nv)
+                universe, perms, symbol_maps = _reference_tables(sig, nv)
+                assert tables.universe == universe
+                assert tables.perms == perms
+                assert list(tables.symbol_maps) == symbol_maps
+                assert tables.columns == tuple(zip(*perms))
 
 
 def test_canonicalize_idempotent():
