@@ -135,9 +135,6 @@ class CloneSlice:
     def __len__(self) -> int:
         return len(self.ops)
 
-    def tables(self) -> set[tuple[int, ...]]:
-        return {op.table for op in self.ops}
-
     def to_json(self) -> dict:
         return {
             "arity": self.arity,
@@ -235,9 +232,6 @@ def clone_slice(algebra: FiniteAlgebra, arity: int, cap: int = 4096) -> CloneSli
 class SatVerdict:
     satisfiable: bool
     witness: Optional[tuple[tuple[Symbol, OperationTable], ...]]
-
-    def witness_dict(self) -> dict[Symbol, OperationTable]:
-        return dict(self.witness or ())
 
     def to_json(self) -> dict:
         data: dict = {"satisfiable": self.satisfiable}

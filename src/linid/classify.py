@@ -45,6 +45,8 @@ from .terms import (
     block_mark,
     canonical_blocks,
     canonicalize,
+    format_system,
+    parse_system,
     set_partitions,
     symmetry_tables,
     system,
@@ -175,8 +177,6 @@ class Classification:
         )
 
     def to_json(self) -> dict:
-        from .terms import format_system
-
         return {
             "system": format_system(self.system),
             "ring": self.ring_verdict.to_json(),
@@ -217,10 +217,6 @@ def classify_system(s: System, memo: Optional[RingMemo] = None) -> Classificatio
 class WeakeningRecord:
     system: System
     ring_verdict: reducts.RingVerdict
-
-    @property
-    def prime(self) -> Optional[int]:
-        return self.ring_verdict.prime
 
 
 @dataclass(frozen=True)
@@ -264,8 +260,6 @@ class CandidateReport:
         return tuple(r.candidate for r in self.minimality if r.is_minimal)
 
     def to_json(self) -> dict:
-        from .terms import format_system
-
         return {
             "family": self.family.value,
             "total_enumerated": self.total_enumerated,
@@ -313,6 +307,22 @@ def candidate_weakenings(s: System, universe: TermUniverse) -> tuple[System, ...
     return tuple(weakenings(system(s.identities, universe.num_vars, universe.signature)))
 
 
+def minimality_record(candidate: System, family: Family, memo: RingMemo) -> MinimalityRecord:
+    """The weakening sweep of a candidate: the ring verdict of every strict
+    weakening, and the distinct canonical forms of the ring-unsatisfiable
+    ones in first-seen order."""
+    records = tuple(
+        WeakeningRecord(weak, ring_verdict(weak, memo))
+        for weak in candidate_weakenings(candidate, family.universe)
+    )
+    weaker = dict.fromkeys(
+        canonicalize(r.system, family.signature)
+        for r in records
+        if not r.ring_verdict.satisfiable
+    )
+    return MinimalityRecord(candidate, records, tuple(weaker))
+
+
 def minimal_candidates(
     family: Family, memo: Optional[RingMemo] = None
 ) -> CandidateReport:
@@ -329,23 +339,6 @@ def minimal_candidates(
     num_fails_b = sum(1 for c in classifications if not c.holds_in_b.satisfiable)
     num_fails_a = sum(1 for c in classifications if not c.holds_in_a.satisfiable)
     candidates = tuple(c for c in classifications if c.is_candidate)
-    universe = family.universe
-    minimality = []
-    for cand in candidates:
-        records = []
-        weaker = []
-        for weak in candidate_weakenings(cand.system, universe):
-            ring = ring_verdict(weak, memo)
-            records.append(WeakeningRecord(weak, ring))
-            if not ring.satisfiable:
-                weaker.append(canonicalize(weak, family.signature))
-        dedup = []
-        for w in weaker:
-            if w not in dedup:
-                dedup.append(w)
-        minimality.append(
-            MinimalityRecord(cand.system, tuple(records), tuple(dedup))
-        )
     return CandidateReport(
         family,
         len(systems),
@@ -353,7 +346,7 @@ def minimal_candidates(
         num_fails_b,
         num_fails_a,
         candidates,
-        tuple(minimality),
+        tuple(minimality_record(c.system, family, memo) for c in candidates),
     )
 
 
@@ -378,8 +371,6 @@ class ManifestEntry:
     table_terms: tuple[str, ...] = ()
 
     def describe(self) -> str:
-        from .terms import format_system
-
         bits = [self.kind]
         if self.family is not None:
             bits.append(self.family.value)
@@ -411,31 +402,38 @@ MAX_MANIFEST_MODULUS = 64
 
 
 def _parse_witness_fields(
-    fields: Sequence[str], modulus: int
+    fields: Sequence[str], modulus: int, s: System
 ) -> tuple[tuple[Symbol, reducts.AffineTerm], ...]:
+    """sym=term fields, each naming a symbol of s."""
     out = []
     for field in fields:
         if "=" not in field:
             raise ValueError(f"expected sym=term, got {field!r}")
-        name, term = field.split("=", 1)
-        sym = Symbol(name.strip())
-        out.append((sym, reducts.parse_affine(term.strip(), modulus, sym.arity)))
+        name, term = (part.strip() for part in field.split("=", 1))
+        try:
+            sym = Symbol(name)
+        except ValueError:
+            raise ValueError(f"unknown symbol {name!r} in witness {field!r}") from None
+        if sym not in s.signature:
+            raise ValueError(
+                f"witness symbol {sym.value} not in system {format_system(s)!r}"
+            )
+        out.append((sym, reducts.parse_affine(term, modulus, sym.arity)))
     return tuple(out)
 
 
-def _parse_modulus(text: str, line_no: int) -> int:
-    n = int(text)
+def _parse_modulus(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise ValueError(f"modulus {text!r} is not an integer") from None
     if not 2 <= n <= MAX_MANIFEST_MODULUS:
-        raise ManifestError(
-            f"line {line_no}: modulus {n} outside 2..{MAX_MANIFEST_MODULUS}"
-        )
+        raise ValueError(f"modulus {n} outside 2..{MAX_MANIFEST_MODULUS}")
     return n
 
 
 def _parse_family_system(text: str, family: Family) -> System:
     """A system in the family's universe: its symbols over x and y."""
-    from .terms import format_system, parse_system
-
     s = parse_system(text)
     if not s.signature <= family.signature or s.num_vars != 2:
         raise ValueError(
@@ -467,7 +465,7 @@ def parse_manifest(text: str) -> tuple[ManifestEntry, ...]:
                         kind,
                         None,
                         None,
-                        modulus=_parse_modulus(fields[1], line_no),
+                        modulus=_parse_modulus(fields[1]),
                         table_terms=tuple(
                             t.strip() for t in fields[2].split(",") if t.strip()
                         ),
@@ -488,26 +486,24 @@ def parse_manifest(text: str) -> tuple[ManifestEntry, ...]:
                 )
             elif kind == "holds-mod":
                 s = _parse_family_system(fields[2], fam)
-                n = _parse_modulus(fields[3], line_no)
+                n = _parse_modulus(fields[3])
                 entries.append(
                     ManifestEntry(
                         line_no, kind, fam, s, modulus=n,
-                        witness=_parse_witness_fields(fields[4:], n),
+                        witness=_parse_witness_fields(fields[4:], n, s),
                     )
                 )
             elif kind == "projections":
                 s = _parse_family_system(fields[2], fam)
                 entries.append(
                     ManifestEntry(
-                        line_no, kind, fam, s, witness=_parse_witness_fields(fields[3:], 5)
+                        line_no, kind, fam, s, witness=_parse_witness_fields(fields[3:], 5, s)
                     )
                 )
             else:
                 entries.append(
                     ManifestEntry(line_no, kind, fam, _parse_family_system(fields[2], fam))
                 )
-        except ManifestError:
-            raise
         except Exception as exc:
             raise ManifestError(f"line {line_no}: {exc}") from exc
     return tuple(entries)
@@ -575,8 +571,6 @@ def _projection_witness_exists(s: System) -> bool:
 def _check_entry(
     entry: ManifestEntry, reports: dict[Family, CandidateReport], memo: RingMemo
 ) -> Finding:
-    from .terms import format_system
-
     s = entry.system
     if entry.kind == "holds-mod":
         n = entry.modulus
@@ -598,12 +592,11 @@ def _check_entry(
         ok = not verdict.satisfiable
         return Finding(entry, ok, "unsatisfiable in the two-element semilattice" if ok else "unexpectedly satisfiable in the semilattice")
     if entry.kind == "ring-unsat":
-        linsys = reducts.coefficient_system(s)
-        rv = reducts.solve_some_finite_ring(linsys)
+        rv = ring_verdict(s, memo)
         ok = not rv.satisfiable
         detail = "no finite ring admits the system" if ok else f"satisfiable mod {rv.prime}"
         if ok:
-            spot = [n for n in range(2, 17) if reducts.solvable_mod(linsys, n)]
+            spot = [n for n in range(2, 17) if rv.solvable_mod(n)]
             if spot:
                 ok = False
                 detail = f"per-modulus solver finds solutions mod {spot}"
@@ -612,18 +605,18 @@ def _check_entry(
         cls = classify_system(s, memo)
         if not cls.is_candidate:
             return Finding(entry, False, "system is not a candidate")
-        universe = entry.family.universe
-        bad = []
-        for weak in candidate_weakenings(s, universe):
-            if not ring_verdict(weak, memo).satisfiable:
-                bad.append(format_system(weak))
-        ok = not bad
+        record = minimality_record(s, entry.family, memo)
+        bad = [
+            format_system(w.system)
+            for w in record.weakenings
+            if not w.ring_verdict.satisfiable
+        ]
         detail = (
             "candidate; every strict weakening is ring-satisfiable"
-            if ok
+            if record.is_minimal
             else f"weaker candidates exist: {bad}"
         )
-        return Finding(entry, ok, detail)
+        return Finding(entry, record.is_minimal, detail)
     if entry.kind == "minimal-candidates":
         report = reports[entry.family]
         got = {s for s in report.minimal_candidates}

@@ -76,15 +76,12 @@ def _write(cfg: RunConfig, name: str, text: str) -> Optional[Path]:
 
 
 def _classification_certificate(cls: classify.Classification, canon) -> dict:
-    """The certificate keys shared by `check` and `minimal`."""
-    return {
-        "system": format_system(cls.system),
-        "canonical_system": format_system(canon),
-        **cls.ring_verdict.to_json(),
-        "holds_in_b": cls.holds_in_b.to_json(),
-        "holds_in_a": cls.holds_in_a.to_json(),
-        "is_candidate": cls.is_candidate,
-    }
+    """The certificate keys shared by `check` and `minimal`: the
+    classification's, its ring block merged in, and the canonical form."""
+    cert = cls.to_json()
+    cert.update(cert.pop("ring"))
+    cert["canonical_system"] = format_system(canon)
+    return cert
 
 
 def check_certificate(s, cfg: RunConfig) -> dict:

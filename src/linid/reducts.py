@@ -300,10 +300,16 @@ def smith_diagonalize(matrix: Sequence[Sequence[int]]) -> SmithForm:
     return SmithForm(diag, tuple(tuple(row) for row in u))
 
 
-def solvable_mod(linsys: LinearSystem, n: int) -> bool:
-    if n < 2:
-        raise ValueError("modulus must be at least 2")
-    return linsys.smith_form().solvable_mod(linsys.rhs, n)
+def excluding_row(diag: Sequence[int], c: Sequence[int], n: int) -> Optional[int]:
+    """The first row i of the diagonalised system d_i * w_i = c_i that has no
+    solution mod n, that is c_i % gcd(d_i, n) != 0, rows past diag having
+    d_i = 0; None when the system is solvable mod n.  Such a row is the
+    integer Farkas certificate of unsolvability (Schrijver 1986, Cor. 4.1a).
+    """
+    for i, ci in enumerate(c):
+        if ci and ci % math.gcd(diag[i] if i < len(diag) else 0, n):
+            return i
+    return None
 
 
 def solve_mod(
@@ -393,24 +399,9 @@ class RingVerdict:
     blocked_gcd: int
     exclusions: tuple[tuple[int, int], ...]
 
-    def witness_dict(self) -> dict[Symbol, AffineTerm]:
-        return dict(self.witness or ())
-
-    @functools.cached_property
-    def _nonzero_rows(self) -> tuple[tuple[int, int], ...]:
-        """(d_i, c_i) for the rows with c_i != 0, rows past diag having d_i = 0."""
-        diag = self.snf_diag
-        return tuple(
-            (diag[i] if i < len(diag) else 0, c)
-            for i, c in enumerate(self.snf_rhs)
-            if c
-        )
-
     def solvable_mod(self, n: int) -> bool:
-        """Solvability mod n, read off the diagonalised system (exact):
-        diag_i * w_i = c_i (mod n) for every row, rows past diag being zero.
-        A row with c_i = 0 holds at every n, so only the others are tested."""
-        return all(c % math.gcd(d, n) == 0 for d, c in self._nonzero_rows)
+        """Solvability mod n, read off the diagonalised system (exact)."""
+        return excluding_row(self.snf_diag, self.snf_rhs, n) is None
 
     def to_json(self) -> dict:
         data: dict = {
@@ -435,18 +426,7 @@ def solve_some_finite_ring(linsys: LinearSystem) -> RingVerdict:
     """Decide whether any finite ring's reduct satisfies the system."""
     form = linsys.smith_form()
     diag, c = form.diag, form.apply(linsys.rhs)
-
-    def row_diag(i: int) -> int:
-        return diag[i] if i < len(diag) else 0
-
-    def admissible(p: int) -> Optional[int]:
-        """None if p works, else the index of a row excluding it."""
-        for i, ci in enumerate(c):
-            if row_diag(i) % p == 0 and ci % p != 0:
-                return i
-        return None
-
-    blocked = tuple(i for i, ci in enumerate(c) if row_diag(i) == 0 and ci != 0)
+    blocked = tuple(i for i, ci in enumerate(c) if ci and (i >= len(diag) or not diag[i]))
     g = 0
     for i in blocked:
         g = math.gcd(g, c[i])
@@ -454,7 +434,7 @@ def solve_some_finite_ring(linsys: LinearSystem) -> RingVerdict:
     # blocked rows admit only primes dividing g; else only finitely many primes
     # (divisors of nonzero diagonal entries) can fail, so the scan terminates
     for p in sorted(_prime_factors(g)) if blocked else _primes():
-        row = admissible(p)
+        row = excluding_row(diag, c, p)
         if row is None:
             witness = solve_mod(linsys, p)
             assert witness is not None, "admissible prime must yield a witness"

@@ -250,32 +250,23 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self._advance()
+            self.pos += 1
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def take(self) -> str:
         ch = self.peek()
-        self._advance()
+        self.pos += 1
         return ch
 
     def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
+        """The error at pos, by 1-based line and column."""
+        line = self.text.count("\n", 0, self.pos) + 1
+        return ParseError(message, line, self.pos - self.text.rfind("\n", 0, self.pos))
 
 
 def _parse_term(sc: _Scanner, used_vars: set[int], used_syms: set[Symbol]) -> Term:

@@ -127,7 +127,7 @@ def test_criterion_4_minimality(two_ternary_report):
             for weak in record.weakenings:
                 assert weak.ring_verdict.satisfiable, format_system(weak.system)
                 assert weak.ring_verdict.prime in (2, 3, 5)
-                wit = weak.ring_verdict.witness_dict()
+                wit = dict(weak.ring_verdict.witness)
                 assert verify_witness(weak.system, weak.ring_verdict.prime, wit)
 
 

@@ -87,7 +87,7 @@ def test_ternary_slice_of_semilattice_is_the_seven_meets():
             vals = [args[i] for i in range(3) if subset >> i & 1]
             table.append(min(vals))
         expected.add(tuple(table))
-    assert sl.tables() == expected
+    assert {op.table for op in sl.ops} == expected
 
 
 def test_binary_slice_of_majority_is_projections():
@@ -118,7 +118,7 @@ def test_clone_slices_are_closed_under_basic_composition():
     for algebra in (semilattice_b(), majority_a(3), reduct_algebra(4)):
         for arity in (2, 3):
             sl = clone_slice(algebra, arity)
-            tables = sl.tables()
+            tables = {op.table for op in sl.ops}
             for _ in range(30):
                 g = rng.choice(algebra.ops)
                 hs = [rng.choice(sl.ops) for _ in range(g.arity)]
@@ -210,7 +210,7 @@ def test_holds_in_s4_in_semilattice():
     meet3 = tuple(
         min(args) for args in itertools.product(range(2), repeat=3)
     )
-    wit = v.witness_dict()
+    wit = dict(v.witness)
     assert wit[Symbol.P].table == meet3
     assert wit[Symbol.Q].table == meet3
 
@@ -254,7 +254,7 @@ def test_witness_monotone_under_refinement():
         v = holds_in(stronger, algebra)
         if not v.satisfiable:
             continue
-        wit = v.witness_dict()
+        wit = dict(v.witness)
         part = induced_partition(wit, u, algebra)
         assert refines(weaker, part)
 

@@ -264,6 +264,34 @@ def test_verify_paper_decides_each_ring_system_once(monkeypatch):
     assert first == second
 
 
+def test_ring_unsat_entries_share_the_run_memo(monkeypatch):
+    calls = []
+    solve = reducts.solve_some_finite_ring
+
+    def counting(linsys):
+        calls.append(linsys)
+        return solve(linsys)
+
+    monkeypatch.setattr(reducts, "solve_some_finite_ring", counting)
+    line = f"ring-unsat | TwoTernary | {S4}\n"
+    report = verify_paper(line + line)
+    assert report.ok and len(report.findings) == 2
+    assert len(calls) == 1
+
+
+# the failure details of a failing `minimal` and `ring-unsat` entry, as the
+# bundled manifest's verifier has always printed them
+@pytest.mark.parametrize("line, detail", [
+    ("minimal | TwoTernary | x=p(x,x,y); p(x,y,x)=p(y,x,x)=q(x,x,y)=q(x,y,x)=q(x,y,y)",
+     "weaker candidates exist: ['x=p(x,x,y); p(x,y,x)=p(y,x,x)=q(x,x,y); q(x,y,x)=q(x,y,y)', "
+     "'x=p(x,x,y); p(x,y,x)=p(y,x,x)=q(x,y,x); q(x,x,y)=q(x,y,y)']"),
+    ("ring-unsat | TwoTernary | p(x,x,y)=q(x,x,y)", "satisfiable mod 2"),
+], ids=["minimal", "ring-unsat"])
+def test_failing_entry_details_are_pinned(line, detail):
+    (finding,) = verify_paper(line).findings
+    assert (finding.ok, finding.detail) == (False, detail)
+
+
 def test_ring_memo_keeps_signature_and_variable_count_apart():
     base = parse_system("p(x,x,y)=x; p(x,y,x)=y")
     variants = [
@@ -471,7 +499,7 @@ def test_verify_paper_reports_mismatch_instead_of_raising():
 
 
 def test_verify_paper_witness_mismatch_detected():
-    bad = "holds-mod | TwoTernary | p(x,x,y)=p(x,y,y) | 5 | p=2x+2y+2z | q=x\n"
+    bad = "holds-mod | TwoTernary | p(x,x,y)=p(x,y,y) | 5 | p=2x+2y+2z\n"
     report = verify_paper(bad)
     assert not report.ok
 
@@ -496,8 +524,9 @@ def test_manifest_witness_terms_are_parsed_once_and_print_as_written():
     ("holds-mod | TwoTernary | x=p(x,y,y) | 5 | p=0x | q=x",
      "coefficients (0, 0, 0) do not sum to 1 mod 5"),
     ("projections | BinaryPlusTernary | t(x,y)=x | t=z", "bad variable in affine term 'z'"),
-    ("projections | TwoTernary | x=p(x,y,y) | r=x", "'r' is not a valid Symbol"),
-], ids=["zero-sum", "bad-variable", "unknown-symbol"])
+    ("projections | TwoTernary | x=p(x,y,y) | r=x", "unknown symbol 'r' in witness 'r=x'"),
+    ("holds-mod | TwoTernary | x=p(x,y,y) | five | p=x", "modulus 'five' is not an integer"),
+], ids=["zero-sum", "bad-variable", "unknown-symbol", "modulus"])
 def test_manifest_bad_witness_term_names_its_line(line, message):
     with pytest.raises(ManifestError) as info:
         parse_manifest("holds-mod | TwoTernary | x=p(x,y,y) | 5 | p=x\n" + line)

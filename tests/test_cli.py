@@ -321,6 +321,25 @@ def test_manifest_system_outside_its_family_exit_2(line, tmp_path, capsys, monke
     )
 
 
+# a witness naming a symbol its system does not use; the first line verified
+# with exit 0 before witness symbols were checked against the system
+@pytest.mark.parametrize("line, sym, text", [
+    ("holds-mod | SingleTernary | x=p(x,y,y) | 5 | p=x | t=x+5y", "t", "x=p(x,y,y)"),
+    ("projections | TwoTernary | p(x,x,y)=x | p=x | q=y", "q", "x=p(x,x,y)"),
+], ids=lambda v: v.split(" ")[0])
+def test_manifest_witness_symbol_outside_its_system_exit_2(
+    line, sym, text, tmp_path, capsys, monkeypatch
+):
+    manifest = tmp_path / "foreign.txt"
+    manifest.write_text("# header\n" + line + "\n")
+    monkeypatch.setattr(cli.classify, "enumerate_family", never)
+    monkeypatch.setattr(reducts, "solve_mod", never)
+    monkeypatch.setattr(reducts, "verify_witness", never)
+    assert run(capsys, "verify-paper", "--manifest", str(manifest)) == (
+        2, "", f"error: line 2: witness symbol {sym} not in system {text!r}\n"
+    )
+
+
 def test_minimal_writes_reports_and_candidate_certificates(tmp_path, capsys):
     code, _, _ = run(capsys, "minimal", "SingleTernary", "-o", str(tmp_path))
     assert code == 0

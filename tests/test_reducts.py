@@ -13,6 +13,7 @@ from linid.reducts import (
     affine_coefficients,
     affine_terms,
     coefficient_system,
+    excluding_row,
     parse_affine,
     smith_diagonalize,
     solve_mod,
@@ -151,11 +152,17 @@ def test_smith_diagonalize_against_brute_force():
             assert all(x == 0 for x in row) if d == 0 else all(x % d == 0 for x in row)
         for n in (2, 3, 4, 5, 6, 7):
             diag_ok = all(
-                ci % __import__("math").gcd(diag[i] if i < len(diag) else 0, n) == 0
+                ci % math.gcd(diag[i] if i < len(diag) else 0, n) == 0
                 for i, ci in enumerate(c)
             )
             assert diag_ok == _brute_solvable(matrix, rhs, n)
             assert form.solvable_mod(rhs, n) == diag_ok
+            # the excluding row is the first row d_i * w = c_i with no w in Z_n
+            unsolvable_rows = [
+                i for i, ci in enumerate(c)
+                if all((w * (diag[i] if i < len(diag) else 0) - ci) % n for w in range(n))
+            ]
+            assert excluding_row(diag, c, n) == next(iter(unsolvable_rows), None)
     # on coefficient systems, U b is the transformed right-hand side that the
     # ring verdict reports
     systems = [parse_system(text) for text in CORPUS]
@@ -251,7 +258,7 @@ def test_g_system_satisfiable_with_verified_witnesses():
     s = parse_system(G_SYSTEM)
     rv = solve_some_finite_ring(coefficient_system(s))
     assert rv.satisfiable
-    assert verify_witness(s, rv.prime, rv.witness_dict())
+    assert verify_witness(s, rv.prime, dict(rv.witness))
     # the published Z5 witness verifies independently of the least one
     wit = {Symbol.P: parse_affine("3x+3z", 5), Symbol.Q: parse_affine("3x+3y", 5)}
     assert verify_witness(s, 5, wit)
@@ -278,7 +285,7 @@ def test_ring_verdict_json_shapes():
     assert data["blocked_gcd"] in (0, 1) or data["excluded_primes"]
 
 
-def test_ring_verdict_solvable_mod_tests_only_nonzero_rows():
+def test_ring_verdict_solvable_mod_matches_the_all_rows_rule():
     # reference: the all-rows rule, gcd(d_i, n) divides c_i on every row
     rng = random.Random(64)
     systems = [parse_system(text) for text in CORPUS]
