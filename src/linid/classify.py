@@ -49,7 +49,6 @@ from .terms import (
     parse_system,
     set_partitions,
     symmetry_tables,
-    system,
     system_from_blocks,
     term_universe,
     weakenings,
@@ -115,7 +114,7 @@ def _xblock_orbit_representatives(
     universe, perms = tables.universe, tables.perms
     reps: dict[tuple[int, ...], tuple[int, ...]] = {}
     for master in master_partitions(family):
-        xterms = next(b for b in master.blocks() if Var(0) in b)
+        xterms = next(b for b in master.blocks if Var(0) in b)
         xblock = tuple(map(universe.index, xterms))
         orbit = min(tuple(sorted(perm[i] for i in xblock)) for perm in perms)
         reps.setdefault(orbit, xblock)
@@ -301,10 +300,12 @@ class CandidateReport:
 def candidate_weakenings(s: System, universe: TermUniverse) -> tuple[System, ...]:
     """terms.weakenings of s over the universe's variables and signature,
     which fixes the coefficient columns; ValueError for a foreign term."""
-    for block in s.blocks():
+    for block in s.blocks:
         for t in block:
             universe.index(t)
-    return tuple(weakenings(system(s.identities, universe.num_vars, universe.signature)))
+    return tuple(
+        weakenings(system_from_blocks(s.blocks, universe.num_vars, universe.signature))
+    )
 
 
 def minimality_record(candidate: System, family: Family, memo: RingMemo) -> MinimalityRecord:

@@ -127,23 +127,20 @@ class System:
     The identity set is normalised at construction: identities are regrouped
     into chains (consecutive pairs of each closure block, ordered by term
     order), so two systems generating the same equivalence compare equal.
-    num_vars, signature and closure are construction metadata and do not
-    take part in equality; build instances through :func:`system`, which
-    computes the closure once and keeps it.
+    num_vars, signature, warnings and blocks are construction metadata and
+    do not take part in equality; build instances through
+    :func:`system_from_blocks`, which keeps the closure blocks: each sorted,
+    of two or more terms, ordered by first term.
     """
 
     identities: frozenset[Identity]
     num_vars: int = field(compare=False, default=2)
     signature: frozenset[Symbol] = field(compare=False, default=frozenset())
     warnings: tuple[str, ...] = field(compare=False, default=())
-    closure: tuple[tuple[Term, ...], ...] = field(compare=False, default=(), repr=False)
+    blocks: tuple[tuple[Term, ...], ...] = field(compare=False, default=(), repr=False)
 
     def sorted_identities(self) -> tuple[Identity, ...]:
         return tuple(sorted(self.identities, key=Identity.key))
-
-    def blocks(self) -> tuple[tuple[Term, ...], ...]:
-        """Connected components of the identity graph, each sorted."""
-        return self.closure
 
     def __str__(self) -> str:
         return format_system(self)
@@ -152,7 +149,8 @@ class System:
         return len(self.identities)
 
 
-def _merge_terms(identities: Iterable[Identity]) -> tuple[tuple[Term, ...], ...]:
+def _merge_terms(identities: Iterable[Identity]) -> list[list[Term]]:
+    """The connected components of the identity graph, unsorted."""
     parent: dict[Term, Term] = {}
 
     def find(t: Term) -> Term:
@@ -170,17 +168,7 @@ def _merge_terms(identities: Iterable[Identity]) -> tuple[tuple[Term, ...], ...]
     groups: dict[Term, list[Term]] = {}
     for t in parent:
         groups.setdefault(find(t), []).append(t)
-    blocks = [tuple(sorted(g, key=term_key)) for g in groups.values()]
-    blocks.sort(key=lambda b: term_key(b[0]))
-    return tuple(blocks)
-
-
-def _chain_identities(blocks: Iterable[Sequence[Term]]) -> frozenset[Identity]:
-    idents = set()
-    for block in blocks:
-        for a, b in zip(block, block[1:]):
-            idents.add(Identity(a, b))
-    return frozenset(idents)
+    return list(groups.values())
 
 
 def system(
@@ -189,20 +177,31 @@ def system(
     signature: Optional[Iterable[Symbol]] = None,
     warnings: Sequence[str] = (),
 ) -> System:
-    """Normalise an identity set into a System.
+    """Normalise an identity set into a System: a union-find merges the
+    identities' terms into closure blocks, and system_from_blocks builds the
+    system from them."""
+    return system_from_blocks(_merge_terms(identities), num_vars, signature, warnings)
 
-    num_vars defaults to the variables actually used (at least 2); signature
-    defaults to the symbols actually used.
+
+def system_from_blocks(
+    term_blocks: Iterable[Sequence[Term]],
+    num_vars: Optional[int],
+    signature: Optional[Iterable[Symbol]],
+    warnings: Sequence[str] = (),
+) -> System:
+    """The system whose closure has the given blocks of terms, in any order.
+
+    The blocks must be disjoint (ValueError if two share a term); a block of
+    one term adds nothing.  num_vars defaults to the variables actually used
+    (at least 2); signature defaults to the symbols actually used.
     """
-    closure = _merge_terms(identities)
-    idents = _chain_identities(closure)
-    used_vars: set[int] = set()
-    used_syms: set[Symbol] = set()
-    for ident in idents:
-        for t in ident.terms():
-            used_vars.update(term_vars(t))
-            if isinstance(t, App):
-                used_syms.add(t.sym)
+    blocks = [tuple(sorted(b, key=term_key)) for b in term_blocks]
+    terms = [t for b in blocks for t in b]
+    if len(set(terms)) != len(terms):
+        raise ValueError("closure blocks must be disjoint")
+    blocks = sorted((b for b in blocks if len(b) > 1), key=lambda b: term_key(b[0]))
+    used_vars = {v for b in blocks for t in b for v in term_vars(t)}
+    used_syms = {t.sym for b in blocks for t in b if isinstance(t, App)}
     if num_vars is None:
         num_vars = max(used_vars, default=1) + 1
     num_vars = max(num_vars, 2)
@@ -213,17 +212,10 @@ def system(
     sig = frozenset(signature) if signature is not None else frozenset(used_syms)
     if not used_syms <= sig:
         raise ValueError("identity uses an undeclared symbol")
-    return System(idents, num_vars, sig, tuple(warnings), closure)
-
-
-def system_from_blocks(
-    term_blocks: Iterable[Sequence[Term]],
-    num_vars: Optional[int],
-    signature: Optional[Iterable[Symbol]],
-) -> System:
-    """The system whose closure has the given blocks of terms, in any order;
-    a block of one term adds nothing."""
-    return system(_chain_identities(term_blocks), num_vars, signature)
+    idents = frozenset(
+        Identity(a, b) for block in blocks for a, b in zip(block, block[1:])
+    )
+    return System(idents, num_vars, sig, tuple(warnings), tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +346,7 @@ def format_system(s: System) -> str:
 
     parse_system(format_system(s)) == s for every System.
     """
-    return "; ".join("=".join(str(t) for t in block) for block in s.blocks())
+    return "; ".join("=".join(str(t) for t in block) for block in s.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +395,6 @@ def term_universe(signature: Iterable[Symbol], num_vars: int) -> TermUniverse:
 # it induces on a term universe, with the symbol map that names its images'
 # signature.
 # ---------------------------------------------------------------------------
-
-
-def system_key(s: System) -> tuple:
-    """Deterministic sort key: the sorted tuple of identity keys."""
-    return tuple(sorted(i.key() for i in s.identities))
 
 
 @dataclass(frozen=True)
@@ -565,9 +552,10 @@ def canonical_blocks(
     An image is ranked by its chain-pair key: the sorted consecutive pairs of
     its sorted blocks.  Bijections carry closure blocks to closure blocks, so
     the key needs no re-normalising, and universes list terms in term order,
-    so on indices it orders images as system_key does.  Returns the least key,
-    the position of the first element reaching it, and the moved blocks,
-    sorted.  If marks is given, the block_mark of every image is added to it.
+    so on indices it orders images as the sorted identity keys of their
+    systems do.  Returns the least key, the position of the first element
+    reaching it, and the moved blocks, sorted.  If marks is given, the
+    block_mark of every image is added to it.
 
     Images are compared by their block_mark instead.  A key lists its pairs
     (a, b) by a, which is distinct across pairs; the mark holds size - b in
@@ -633,7 +621,7 @@ def canonicalize(s: System, signature: Optional[Iterable[Symbol]] = None) -> Sys
         raise ValueError(f"ambient signature lacks {', '.join(missing)}")
     tables = symmetry_tables(sig, s.num_vars)
     terms, index = tables.universe.terms, tables.universe.index
-    blocks = [[index(t) for t in block] for block in s.blocks()]
+    blocks = [[index(t) for t in block] for block in s.blocks]
     _key, k, moved = canonical_blocks(blocks, tables)
     symbol_map = tables.symbol_maps[k]
     return system_from_blocks(
@@ -680,7 +668,7 @@ def weakenings(s: System) -> Iterator[System]:
     signature: the product of each block's set_partitions, blocks in term
     order, without the unsplit one.  Bell(k_1)...Bell(k_r) - 1 of them.
     """
-    options = [list(set_partitions(block)) for block in s.blocks()]
+    options = [list(set_partitions(block)) for block in s.blocks]
     for combo in itertools.product(*options):
         if all(len(parts) == 1 for parts in combo):
             continue  # the closure of s itself

@@ -27,7 +27,7 @@ def orbit_images(s, signature=None, elements=None):
     sig = frozenset(signature) if signature is not None else s.signature
     tables = symmetry_tables(sig, s.num_vars)
     u = tables.universe
-    blocks = [[u.index(t) for t in block] for block in s.blocks()]
+    blocks = [[u.index(t) for t in block] for block in s.blocks]
     if elements is None:
         elements = range(len(tables.perms))
     for k in elements:
@@ -42,11 +42,11 @@ def orbit_images(s, signature=None, elements=None):
 
 def refines(s, t):
     """Whether every closure block of s lies inside a closure block of t."""
-    owner = {term: k for k, block in enumerate(t.blocks()) for term in block}
+    owner = {term: k for k, block in enumerate(t.blocks) for term in block}
     # a term in no block of t is a singleton there, its own owner
-    return all(len({owner.get(term, term) for term in block}) == 1 for block in s.blocks())
+    return all(len({owner.get(term, term) for term in block}) == 1 for block in s.blocks)
 
 
 def block_of(s, term):
     """The closure block of s containing term (a singleton if none does)."""
-    return next((block for block in s.blocks() if term in block), (term,))
+    return next((block for block in s.blocks if term in block), (term,))

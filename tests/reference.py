@@ -30,13 +30,17 @@ from linid.terms import (
     symmetry_tables,
     system,
     system_from_blocks,
-    system_key,
 )
 
 
 # ---------------------------------------------------------------------------
-# Terms: variable substitution and Bell numbers
+# Terms: a sort key, variable substitution and Bell numbers
 # ---------------------------------------------------------------------------
+
+
+def system_key(s: System) -> tuple:
+    """Deterministic sort key: the sorted tuple of identity keys."""
+    return tuple(sorted(i.key() for i in s.identities))
 
 
 def substitute_variable(s: System, src: int, dst: int) -> System:
@@ -73,7 +77,7 @@ def partition_weakenings(s: System, universe: TermUniverse) -> list[System]:
     """Systems of all partitions of universe strictly refining the closure of
     s: the nontrivial index blocks by least index, each block's set
     partitions in order, over the universe's variables and signature."""
-    blocks = [tuple(sorted(universe.index(t) for t in b)) for b in s.blocks()]
+    blocks = [tuple(sorted(universe.index(t) for t in b)) for b in s.blocks]
     blocks.sort(key=lambda b: b[0])
     out = []
     for combo in itertools.product(*[list(set_partitions(b)) for b in blocks]):
@@ -112,7 +116,7 @@ def canonicalize_every_element(s: System, signature=None) -> System:
     sig = frozenset(signature) if signature is not None else s.signature
     tables = symmetry_tables(sig, s.num_vars)
     u = tables.universe
-    blocks = [[u.index(t) for t in block] for block in s.blocks()]
+    blocks = [[u.index(t) for t in block] for block in s.blocks]
     k = first_largest_mark(blocks, tables)
     perm, symbol_map = tables.perms[k], tables.symbol_maps[k]
     return system_from_blocks(

@@ -2,7 +2,9 @@ import json
 import random
 
 from conftest import PQ, block_of, orbit_images, random_system
-from reference import brute_force_candidates, partition_weakenings, witness_type_masters
+from reference import (
+    brute_force_candidates, partition_weakenings, system_key, witness_type_masters,
+)
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,7 +34,6 @@ from linid.terms import (
     symmetry_tables,
     system,
     system_from_blocks,
-    system_key,
 )
 
 S4 = "p(x,x,y)=p(x,y,y); p(x,y,x)=q(x,x,y)=q(x,y,x)=q(y,x,x)"
@@ -66,8 +67,8 @@ def test_master_partitions_two_ternary():
     } in xblocks
     # every master splits the universe into the x side and the mirrored y side
     for part in masters:
-        assert len(part.blocks()) == 2
-        assert all(len(b) == 7 for b in part.blocks())
+        assert len(part.blocks) == 2
+        assert all(len(b) == 7 for b in part.blocks)
         assert (part.num_vars, part.signature) == (2, u.signature)
 
     # both read as the majority operation
@@ -404,6 +405,22 @@ def test_candidate_weakenings_rejects_foreign_terms():
         candidate_weakenings(parse_system(S4), Family.SINGLE_TERNARY.universe)
     with pytest.raises(ValueError, match="outside universe"):
         candidate_weakenings(parse_system("x=p(x,y,z)"), Family.SINGLE_TERNARY.universe)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_minimal_candidates_runs_no_union_find(family, monkeypatch):
+    # enumeration, canonical forms and weakenings are all built from closure
+    # blocks; the union-find runs only on identity input
+    calls = []
+    kernel = terms._merge_terms
+
+    def counting(identities):
+        calls.append(identities)
+        return kernel(identities)
+
+    monkeypatch.setattr(terms, "_merge_terms", counting)
+    minimal_candidates(family)
+    assert calls == []
 
 
 @pytest.mark.parametrize(

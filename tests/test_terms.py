@@ -4,6 +4,7 @@ import random
 from conftest import block_of, orbit_images, random_system, refines
 from reference import (
     bell_number, canonicalize_every_element, first_largest_mark, substitute_variable,
+    system_key,
 )
 
 import pytest
@@ -27,7 +28,6 @@ from linid.terms import (
     symmetry_tables,
     system,
     system_from_blocks,
-    system_key,
     term_key,
     term_universe,
     weakenings,
@@ -150,11 +150,11 @@ def test_partition_closure_examples():
     # a system's closure blocks, each in term order; other terms are singletons
     u = term_universe(PQ, 2)
     empty = parse_system("")
-    assert empty.blocks() == ()
+    assert empty.blocks == ()
     assert all(block_of(empty, t) == (t,) for t in u.terms)
 
     s4 = parse_system(S4)
-    assert [tuple(str(t) for t in block) for block in s4.blocks()] == [
+    assert [tuple(str(t) for t in block) for block in s4.blocks] == [
         ("p(x,x,y)", "p(x,y,y)"),
         ("p(x,y,x)", "q(x,x,y)", "q(x,y,x)", "q(y,x,x)"),
     ]
@@ -170,7 +170,7 @@ def test_closure_ignores_identity_regrouping():
     a = parse_system("p(x,x,y)=p(x,y,y)=p(x,y,x)")
     b = parse_system("p(x,x,y)=p(x,y,x); p(x,y,y)=p(x,y,x)")
     assert a == b
-    assert a.blocks() == b.blocks()
+    assert a.blocks == b.blocks
 
 
 def test_substitute_variable_examples():
@@ -225,7 +225,7 @@ def test_apply_symmetry_group_action_on_systems():
     closure = parse_system(S4)
 
     def act(perm, s):
-        moved = [[u.terms[perm[u.index(t)]] for t in b] for b in s.blocks()]
+        moved = [[u.terms[perm[u.index(t)]] for t in b] for b in s.blocks]
         return system_from_blocks(moved, 2, PQ)
 
     rng = random.Random(11)
@@ -250,7 +250,7 @@ def test_argument_permutation_fixes_system_4():
             for i, t in enumerate(u.terms)
         )
         assert perm in tables.perms
-        moved = [[u.terms[perm[u.index(t)]] for t in b] for b in closure.blocks()]
+        moved = [[u.terms[perm[u.index(t)]] for t in b] for b in closure.blocks]
         assert system_from_blocks(moved, 2, PQ) == closure
 
 
@@ -520,7 +520,7 @@ def test_weakenings_counts_and_strictness():
     pair = parse_system("x=y")
     ws = list(weakenings(pair))
     assert len(ws) == 1
-    assert ws[0].blocks() == ()
+    assert ws[0].blocks == ()
 
     master = system_from_blocks([term_universe(PQ, 2).terms[:7]], 2, PQ)
     refinements = list(weakenings(master))
@@ -531,9 +531,21 @@ def test_weakenings_counts_and_strictness():
 
 
 def test_system_from_blocks_round_trip():
-    for text in (S4, S5, S7, MASTER2, ""):
-        s = parse_system(text)
-        assert system_from_blocks(s.blocks(), s.num_vars, s.signature) == s
+    systems = [parse_system(text) for text in (S4, S5, S7, MASTER2, "")]
+    rng = random.Random("blocks")
+    systems += [random_system(rng, num_vars=n) for n in (2, 3) for _ in range(50)]
+    for s in systems:
+        t = system_from_blocks(s.blocks, s.num_vars, s.signature)
+        assert (t, t.blocks, t.num_vars, t.signature) == (s, s.blocks, s.num_vars, s.signature)
     # a block of one term adds nothing
     blocks = [(Var(0), app(Symbol.P, (0, 0, 1))), (Var(1),)]
     assert format_system(system_from_blocks(blocks, 3, PQ)) == "x=p(x,x,y)"
+
+
+def test_system_from_blocks_rejects_overlapping_blocks():
+    # overlapping blocks would need merging, which only system() does
+    x, y = Var(0), Var(1)
+    p = app(Symbol.P, (0, 0, 1))
+    for blocks in ([(x, p), (p, y)], [(x, y), (y,)], [(x, x)]):
+        with pytest.raises(ValueError, match="^closure blocks must be disjoint$"):
+            system_from_blocks(blocks, 2, PQ)
